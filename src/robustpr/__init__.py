@@ -34,6 +34,7 @@ from .objective import (
     sharpness_probe,
     subgradient,
     value,
+    value_and_subgradient,
     weak_convexity_probe,
 )
 from .solver import (

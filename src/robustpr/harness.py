@@ -242,6 +242,12 @@ def _solver_config(cfg):
                                tol_value=cfg.tol_value, tol_dist=cfg.tol_dist)
 
 
+def _init_fields(report):
+    """Summary entries that tell whether the spectral init hit its cap."""
+    return {"init_converged": report.converged, "init_iters": report.power_iters,
+            "init_residual": _json_scalar(report.residual)}
+
+
 def _run_one_seed(cfg, seed):
     ens = _build_ensemble(cfg, seed)
     xbar = rng_for(seed, _TAG_SIGNAL).standard_normal(ens.d)
@@ -262,6 +268,7 @@ def _run_one_seed(cfg, seed):
         "final_rel_dist": _json_scalar(final_rel),
         "rate_estimate": _json_scalar(rate),
         "init_selected": report.n_selected,
+        **_init_fields(report),
         "wall_time_s": wall,
     }
     return problem, trace, summary
@@ -419,6 +426,7 @@ def run_image_pipeline(input_path, output_path, k, seed, max_iters=2000,
         "iterations": trace.iterations,
         "rel_dist": _json_scalar(rel),
         "exact_pixel_fraction": float(np.mean(recovered == buf.pixels)),
+        **_init_fields(report),
         "wall_time_s": wall,
     }
     write_json(summary_path or output_path + ".json", summary)

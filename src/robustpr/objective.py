@@ -40,20 +40,36 @@ class RegularityEstimate:
     seed: int = 0
 
 
-def value(problem, x):
-    """Mean absolute residual of x on the problem."""
+def _residuals(problem, x):
     ax = apply(problem.ensemble, x)
-    r = np.abs(ax * ax - problem.b)
+    return ax, ax * ax - problem.b
+
+
+def _mean_abs(r):
+    r = np.abs(r)
     if r.size > _FSUM_THRESHOLD:
         return math.fsum(r) / r.size
     return float(np.mean(r))
 
 
+def _chain_rule(problem, ax, r):
+    return (2.0 / problem.m) * apply_adjoint(problem.ensemble, np.sign(r) * ax)
+
+
+def value_and_subgradient(problem, x):
+    """Value and subgradient at x from a single forward product A x."""
+    ax, r = _residuals(problem, x)
+    return _mean_abs(r), _chain_rule(problem, ax, r)
+
+
+def value(problem, x):
+    """Mean absolute residual of x on the problem."""
+    return _mean_abs(_residuals(problem, x)[1])
+
+
 def subgradient(problem, x):
     """Chain-rule subgradient (2/m) A^T (sign(residual) * Ax), sign(0) = 0."""
-    ax = apply(problem.ensemble, x)
-    s = np.sign(ax * ax - problem.b)
-    return (2.0 / problem.m) * apply_adjoint(problem.ensemble, s * ax)
+    return _chain_rule(problem, *_residuals(problem, x))
 
 
 def _require_truth(problem):
@@ -91,8 +107,8 @@ def weak_convexity_probe(problem, n_triples, radius, seed):
         gap2 = float((y - x) @ (y - x))
         if gap2 == 0.0:
             continue
-        zeta = subgradient(problem, x)
-        viol = 2.0 * (value(problem, x) + zeta @ (y - x) - value(problem, y)) / gap2
+        fx, zeta = value_and_subgradient(problem, x)
+        viol = 2.0 * (fx + zeta @ (y - x) - value(problem, y)) / gap2
         worst = max(worst, viol)
         used += 1
     return RegularityEstimate(rho_hat=worst, samples=used, seed=int(seed))

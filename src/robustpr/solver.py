@@ -65,8 +65,7 @@ class SolveTrace:
 def polyak_step(problem, x, min_value=0.0):
     """Evaluate f and a subgradient at x and take one Polyak step."""
     x = np.asarray(x, dtype=np.float64)
-    f = objective.value(problem, x)
-    zeta = objective.subgradient(problem, x)
+    f, zeta = objective.value_and_subgradient(problem, x)
     gn = float(np.linalg.norm(zeta))
     if gn == 0.0:
         return PolyakStep(next_x=None, f_value=f, subgrad_norm=0.0)

@@ -1,4 +1,4 @@
-"""Spectral initialization via shifted power iteration.
+"""Spectral initialization via restarted Lanczos.
 
 The initial point is r_hat * w_hat, where r_hat^2 is the mean measurement and
 w_hat is the unit eigenvector of the smallest eigenvalue of
@@ -9,8 +9,9 @@ selection keeping indices with b_i <= r_hat^2 / 2 (small measurements, so the
 selected rows are nearly orthogonal to the signal and its direction shows up
 in the bottom of the spectrum).  X_init is applied matrix-free as
 A^T (mask * (A v)), so sketch ensembles never materialize rows.  The smallest
-eigenpair comes from power iteration on sigma I - X_init with the shift
-sigma exceeding the largest eigenvalue.
+eigenpair comes from a Lanczos iteration with full reorthogonalization on a
+fixed-size Krylov basis, restarted from the bottom Ritz vector until its
+true residual is small; no shift or bound on the top eigenvalue is needed.
 """
 
 from __future__ import annotations
@@ -23,6 +24,12 @@ import numpy as np
 from .measure import apply, apply_adjoint, rng_for
 
 _TAG_POWER_START = 20
+# Krylov basis size per Lanczos cycle.
+_KRYLOV_DIM = 20
+# A projected off-diagonal at or below this fraction of lam_top marks an
+# invariant subspace.  Scaling by the operator (not by the current alpha)
+# keeps rounding-level remainders of a degenerate operator out of the basis.
+_BREAKDOWN = 1e-10
 
 
 @dataclass(frozen=True)
@@ -48,6 +55,7 @@ class InitReport:
     n_selected: int
     power_iters: int
     residual: float
+    converged: bool
 
 
 def _check_finite(v):
@@ -59,52 +67,66 @@ def _check_finite(v):
 def min_eigenvector(op, d, cfg=PowerConfig()):
     """Smallest eigenpair of a symmetric PSD operator given as a callable.
 
-    Runs 10 preliminary power iterations on ``op`` to bound the top
-    eigenvalue, shifts by 1.1x that bound, and power-iterates on
-    sigma I - op from a seeded random unit vector.  Stops when the Rayleigh
-    residual |op w - (w' op w) w| falls below tol * (1 + top-eigenvalue
-    bound).  The sign is normalized so the largest-magnitude coordinate is
-    nonnegative.
+    Restarted Lanczos from a seeded random unit vector: each cycle builds an
+    orthonormal Krylov basis of at most ``_KRYLOV_DIM`` vectors, takes the
+    bottom Ritz pair of the projected tridiagonal matrix, and applies ``op``
+    to the Ritz vector once more for its true residual |op w - (w' op w) w|.
+    The next cycle restarts from that vector until the residual falls below
+    tol * (1 + lam_top), lam_top being the largest |alpha| or beta of the
+    projected matrices so far (a lower bound on the top eigenvalue), or until
+    a basis closes on an invariant subspace, which a restart would rebuild.
+    ``iters`` counts the ``op`` applications after the first and is capped by
+    ``cfg.max_iters``.  The sign is normalized so the largest-magnitude
+    coordinate is nonnegative.
     """
     rng = rng_for(cfg.seed, _TAG_POWER_START)
     w = rng.standard_normal(d)
     w /= np.linalg.norm(w)
 
-    v = w.copy()
-    lam_max = 0.0
-    for _ in range(10):
-        ov = _check_finite(op(v))
-        nv = np.linalg.norm(ov)
-        if nv == 0.0:
-            lam_max = 0.0
-            break
-        lam_max = nv
-        v = ov / nv
-    sigma = 1.1 * lam_max
-
-    scale = 1.0 + lam_max
-    iters = 0
-    converged = False
+    dim = min(_KRYLOV_DIM, d)
+    basis = np.empty((dim, d))
+    alpha = np.empty(dim)
+    beta = np.empty(dim)
     opw = _check_finite(op(w))
     lam = float(w @ opw)
     residual = float(np.linalg.norm(opw - lam * w))
-    while iters < cfg.max_iters:
-        if residual <= cfg.tol * scale:
-            converged = True
+    top = max(abs(lam), residual)
+    iters = 0
+    while residual > cfg.tol * (1.0 + top):
+        n = min(dim, cfg.max_iters - iters)
+        if n < 2:
             break
-        u = sigma * w - opw
-        nu = np.linalg.norm(u)
-        if nu == 0.0:
-            # w is an exact eigenvector of the shifted operator
-            converged = True
-            break
-        w = u / nu
-        iters += 1
+        basis[0] = w
+        u = opw
+        for j in range(n):
+            if j > 0:
+                u = _check_finite(op(basis[j]))
+                iters += 1
+            alpha[j] = basis[j] @ u
+            # Full reorthogonalization: two classical Gram-Schmidt passes
+            # against the whole basis also remove the alpha and beta terms.
+            q = basis[: j + 1]
+            u = u - q.T @ (q @ u)
+            u -= q.T @ (q @ u)
+            beta[j] = np.linalg.norm(u)
+            top = max(top, abs(alpha[j]), beta[j])
+            invariant = beta[j] <= _BREAKDOWN * top
+            if invariant or j + 1 == n:
+                break
+            basis[j + 1] = u / beta[j]
+        k = j + 1
+        # eigh reads only the lower triangle of the tridiagonal matrix.
+        _, s = np.linalg.eigh(np.diag(alpha[:k]) + np.diag(beta[: k - 1], -1))
+        w = s[:, 0] @ basis[:k]
+        w /= np.linalg.norm(w)
         opw = _check_finite(op(w))
+        iters += 1
         lam = float(w @ opw)
         residual = float(np.linalg.norm(opw - lam * w))
-    else:
-        converged = residual <= cfg.tol * scale
+        if invariant:
+            # A restart would rebuild the same invariant subspace.
+            break
+    converged = bool(residual <= cfg.tol * (1.0 + top))
 
     i = int(np.argmax(np.abs(w)))
     if w[i] < 0:
@@ -133,14 +155,14 @@ def spectral_init(problem, cfg=PowerConfig()):
     """Initial point r_hat * w_hat for the subgradient method.
 
     Degenerate measurements (mean b <= 0, e.g. the zero signal) return the
-    zero vector with n_selected = m and residual 0.
+    zero vector with n_selected = m, residual 0 and converged set.
     """
     b = problem.b
     m = problem.m
     r2 = float(b.mean())
     if r2 <= 0.0:
         return InitReport(x0=np.zeros(problem.d), r_hat=0.0, n_selected=m,
-                          power_iters=0, residual=0.0)
+                          power_iters=0, residual=0.0, converged=True)
     mask = selection_mask(b)
     ens = problem.ensemble
 
@@ -150,4 +172,4 @@ def spectral_init(problem, cfg=PowerConfig()):
     eig = min_eigenvector(op, problem.d, cfg)
     return InitReport(x0=math.sqrt(r2) * eig.w, r_hat=math.sqrt(r2),
                       n_selected=int(mask.sum()), power_iters=eig.iters,
-                      residual=eig.residual)
+                      residual=eig.residual, converged=eig.converged)

@@ -205,3 +205,15 @@ def test_probes_are_reproducible_given_seed():
             == rp.weak_convexity_probe(p, 30, 1.0, seed=5))
     assert (rp.concentration_probe(p.ensemble, 10, seed=5)
             == rp.concentration_probe(p.ensemble, 10, seed=5))
+
+
+def test_value_and_subgradient_equals_separate_calls_exactly():
+    dense = seeded_problem(12, 60, seed=4)
+    ens = rp.hadamard_ensemble(16, 3, seed=4)
+    sketch = rp.measure(ens, rp.rng_for(4, 99).standard_normal(16))
+    rng = np.random.default_rng(4)
+    for p in (dense, sketch):
+        for x in (rng.standard_normal(p.d), p.truth, np.zeros(p.d)):
+            f, zeta = rp.value_and_subgradient(p, x)
+            assert f == rp.value(p, x)
+            assert np.array_equal(zeta, rp.subgradient(p, x))

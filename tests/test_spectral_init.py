@@ -1,10 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 import robustpr as rp
-from robustpr import spectral
+from robustpr import harness, spectral
 
 
 def matvec(mat):
@@ -33,6 +34,17 @@ def test_min_eigenvector_singular_diagonal():
     assert res.converged
     assert abs(res.eigenvalue_estimate) <= 1e-6
     np.testing.assert_allclose(res.w, [1.0, 0.0, 0.0], atol=1e-5)
+
+
+def test_min_eigenvector_stops_at_invariant_subspace_below_rounding_tol():
+    # The basis spans the whole space, so no restart can lower the rounding-level
+    # residual below an unattainable tol; the cap must not be spent on retries.
+    res = rp.min_eigenvector(matvec(np.diag(np.arange(1.0, 11.0))), 10,
+                             rp.PowerConfig(tol=1e-17, seed=1))
+    assert not res.converged
+    assert res.iters <= 20
+    assert res.eigenvalue_estimate == pytest.approx(1.0, rel=1e-12)
+    assert abs(res.w[0]) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_min_eigenvector_residual_obeys_scaled_tolerance():
@@ -127,3 +139,67 @@ def test_spectral_init_sign_flip_insensitive():
     a = rp.spectral_init(rp.measure(ens, xbar), cfg).x0
     b = rp.spectral_init(rp.measure(ens, -xbar), cfg).x0
     np.testing.assert_array_equal(a, b)
+
+
+def bench_shaped_problem(seed=0):
+    # The shape of the dense recovery benchmark and criterion 6: d=400, m=1480.
+    ens = rp.gaussian_ensemble(400, 1480, seed=seed)
+    return rp.measure(ens, rp.rng_for(seed, 99).standard_normal(400))
+
+
+@pytest.mark.parametrize("d", [30, 100, 200])
+def test_min_eigenvector_matches_eigh_oracle(d):
+    rng = np.random.default_rng(d)
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    # PSD spectrum with the bottom eigenvalue 0.5 below the rest of [1, 100]
+    lams = np.concatenate(([0.5], np.sort(rng.uniform(1.0, 100.0, d - 1))))
+    mat = (q * lams) @ q.T
+    mat = 0.5 * (mat + mat.T)
+    res = rp.min_eigenvector(matvec(mat), d, rp.PowerConfig(seed=d))
+    evals, evecs = np.linalg.eigh(mat)
+    assert res.converged
+    assert res.eigenvalue_estimate == pytest.approx(evals[0], abs=1e-8 * evals[-1])
+    assert abs(res.w @ evecs[:, 0]) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_capped_init_is_reported(tmp_path, monkeypatch):
+    problem = bench_shaped_problem()
+    cfg = rp.PowerConfig(max_iters=5, seed=0)
+    mask = spectral.selection_mask(problem.b)
+    ens = problem.ensemble
+
+    def op(v):
+        return rp.apply_adjoint(ens, mask * rp.apply(ens, v))
+
+    eig = rp.min_eigenvector(op, problem.d, cfg)
+    assert not eig.converged
+    assert eig.iters <= 5
+    report = rp.spectral_init(problem, cfg)
+    assert not report.converged
+    assert report.power_iters == eig.iters
+
+    real = spectral.PowerConfig
+    monkeypatch.setattr(spectral, "PowerConfig",
+                        lambda seed=0: real(max_iters=5, seed=seed))
+    cfg = harness.ExperimentConfig(command="solve", d=400, m=1480, seeds=[0],
+                                   max_iters=1, out_dir=str(tmp_path), quiet=True)
+    harness.run_solve_experiment(cfg)
+    (entry,) = json.loads((tmp_path / "summary.json").read_text())
+    assert entry["init_converged"] is False
+    assert entry["init_iters"] <= 5
+    assert entry["init_residual"] > 0.0
+
+
+def test_spectral_init_operator_applications_at_benchmark_shape(monkeypatch):
+    calls = []
+    real_apply = spectral.apply
+
+    def counting_apply(ens, v):
+        calls.append(1)
+        return real_apply(ens, v)
+
+    monkeypatch.setattr(spectral, "apply", counting_apply)
+    report = rp.spectral_init(bench_shaped_problem(), rp.PowerConfig(seed=0))
+    assert report.converged
+    assert len(calls) == report.power_iters + 1
+    assert len(calls) <= 300
