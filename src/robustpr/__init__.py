@@ -40,6 +40,7 @@ from .objective import (
 from .solver import (
     CONVERGED,
     MAX_ITERS,
+    NON_FINITE,
     ZERO_SUBGRADIENT,
     PolyakStep,
     SolveTrace,

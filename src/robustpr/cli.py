@@ -25,13 +25,21 @@ EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_NUMERICAL = 3
 
-_RUNNERS = {
-    "solve": harness.run_solve_experiment,
-    "landscape": harness.run_landscape_command,
-    "certify": harness.run_certify,
-    "image": harness.run_image_command,
-    "probe": harness.run_probe,
+# name -> (runner, help): the one declaration of the subcommands
+_COMMANDS = {
+    "solve": (harness.run_solve_experiment,
+              "simulated-data convergence study (one trace CSV per seed)"),
+    "landscape": (harness.run_landscape_command,
+                  "export the planar population landscape grid as CSV"),
+    "certify": (harness.run_certify,
+                "score candidate stationary points against the landscape"),
+    "image": (harness.run_image_command,
+              "recover a PGM/PPM image from Hadamard-sketch measurements"),
+    "probe": (harness.run_probe,
+              "empirical sharpness / weak convexity / concentration probes"),
 }
+# Dispatch uses this flat view, which function-swapping tools (tracers) can patch.
+_RUNNERS = {name: runner for name, (runner, _) in _COMMANDS.items()}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -46,13 +54,7 @@ def _parser():
         description="Robust phase retrieval: subgradient solver and landscape analysis.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, doc in [
-        ("solve", "simulated-data convergence study (one trace CSV per seed)"),
-        ("landscape", "export the planar population landscape grid as CSV"),
-        ("certify", "score candidate stationary points against the landscape"),
-        ("image", "recover a PGM/PPM image from Hadamard-sketch measurements"),
-        ("probe", "empirical sharpness / weak convexity / concentration probes"),
-    ]:
+    for name, (_, doc) in _COMMANDS.items():
         p = sub.add_parser(name, help=doc)
         p.add_argument("-c", "--config", default=None,
                        help="key=value configuration file")

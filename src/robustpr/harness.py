@@ -15,7 +15,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -63,84 +63,52 @@ def _parse_opt_float(s):
     return None if s.lower() in ("none", "") else float(s)
 
 
-_SCHEMA = {
-    "kind": str,
-    "d": int,
-    "m": int,
-    "l": int,
-    "k": int,
-    "seed": int,
-    "seeds": _parse_int_list,
-    "min_value": float,
-    "max_iters": int,
-    "tol_value": float,
-    "tol_dist": _parse_opt_float,
-    "noise_p_fail": float,
-    "noise_scale": float,
-    "noise_seed": int,
-    "noise_kind": str,
-    "out_dir": str,
-    "out": str,
-    "xbar": _parse_float_pair,
-    "half_width": float,
-    "grid_n": int,
-    "candidates": str,
-    "truth": str,
-    "threshold": float,
-    "input": str,
-    "output": str,
-    "probe": str,
-    "samples": int,
-    "radius": float,
-    "quiet": _parse_bool,
-}
+# certify harvests solve runs; image recovers its signal with the same solver.
+_PROBLEM = ("solve", "certify")
+_SOLVER = ("solve", "certify", "image")
 
-_COMMAND_KEYS = {
-    "solve": {"kind", "d", "m", "l", "k", "seeds", "min_value", "max_iters",
-              "tol_value", "tol_dist", "noise_p_fail", "noise_scale",
-              "noise_seed", "noise_kind", "out_dir", "quiet"},
-    "landscape": {"xbar", "half_width", "grid_n", "out", "quiet"},
-    "certify": {"candidates", "truth", "m", "threshold", "out", "kind", "d",
-                "l", "k", "seeds", "min_value", "max_iters", "tol_value",
-                "tol_dist", "quiet"},
-    "image": {"input", "output", "k", "seed", "max_iters", "tol_value",
-              "tol_dist", "min_value", "out", "quiet"},
-    "probe": {"probe", "d", "m", "seed", "samples", "radius", "out", "quiet"},
-}
+
+def _setting(default, parse, commands):
+    """A config field that carries its string parser and the commands accepting it."""
+    meta = {"parse": parse, "commands": frozenset(commands)}
+    if isinstance(default, list):
+        return field(default_factory=lambda: list(default), metadata=meta)
+    return field(default=default, metadata=meta)
 
 
 @dataclass
 class ExperimentConfig:
     command: str
-    kind: str = "gaussian"
-    d: int | None = None
-    m: int | None = None
-    l: int | None = None
-    k: int | None = None
-    seed: int = 0
-    seeds: list = field(default_factory=lambda: [0])
-    min_value: float = 0.0
-    max_iters: int = 2000
-    tol_value: float = 0.0
-    tol_dist: float | None = 1e-10
-    noise_p_fail: float = 0.0
-    noise_scale: float = 0.0
-    noise_seed: int = 0
-    noise_kind: str = "gaussian"
-    out_dir: str = "."
-    out: str | None = None
-    xbar: tuple | None = None
-    half_width: float = 2.0
-    grid_n: int = 201
-    candidates: str | None = None
-    truth: str | None = None
-    threshold: float = 10.0
-    input: str | None = None
-    output: str | None = None
-    probe: str | None = None
-    samples: int = 200
-    radius: float = 1.0
-    quiet: bool = False
+    kind: str = _setting("gaussian", str, _PROBLEM)
+    d: int | None = _setting(None, int, _PROBLEM + ("probe",))
+    m: int | None = _setting(None, int, _PROBLEM + ("probe",))
+    l: int | None = _setting(None, int, _PROBLEM)
+    k: int | None = _setting(None, int, _SOLVER)
+    seed: int = _setting(0, int, ("image", "probe"))
+    seeds: list = _setting([0], _parse_int_list, _PROBLEM)
+    min_value: float = _setting(0.0, float, _SOLVER)
+    max_iters: int = _setting(2000, int, _SOLVER)
+    tol_value: float = _setting(0.0, float, _SOLVER)
+    tol_dist: float | None = _setting(1e-10, _parse_opt_float, _SOLVER)
+    noise_p_fail: float = _setting(0.0, float, ("solve",))
+    noise_scale: float = _setting(0.0, float, ("solve",))
+    noise_seed: int = _setting(0, int, ("solve",))
+    noise_kind: str = _setting("gaussian", str, ("solve",))
+    out_dir: str = _setting(".", str, ("solve",))
+    out: str | None = _setting(None, str, ("landscape", "certify", "image", "probe"))
+    xbar: tuple | None = _setting(None, _parse_float_pair, ("landscape",))
+    half_width: float = _setting(2.0, float, ("landscape",))
+    grid_n: int = _setting(201, int, ("landscape",))
+    candidates: str | None = _setting(None, str, ("certify",))
+    truth: str | None = _setting(None, str, ("certify",))
+    threshold: float = _setting(10.0, float, ("certify",))
+    input: str | None = _setting(None, str, ("image",))
+    output: str | None = _setting(None, str, ("image",))
+    probe: str | None = _setting(None, str, ("probe",))
+    samples: int = _setting(200, int, ("probe",))
+    radius: float = _setting(1.0, float, ("probe",))
+    quiet: bool = _setting(False, _parse_bool,
+                           ("solve", "landscape", "certify", "image", "probe"))
 
 
 def parse_config_file(path):
@@ -158,21 +126,28 @@ def parse_config_file(path):
     return mapping
 
 
+def _accepted_settings(command, keys):
+    """Parsers of the command's settings; an unknown command or key is an error."""
+    parsers = {f.name: f.metadata["parse"] for f in fields(ExperimentConfig)
+               if command in f.metadata.get("commands", ())}
+    if not parsers:
+        raise ConfigError(f"unknown command {command!r}")
+    for key in keys:
+        if key not in parsers:
+            raise ConfigError(f"unknown key {key!r} for command {command!r}")
+    return parsers
+
+
 def build_config(command, mapping):
     """Coerce a raw string mapping into an ExperimentConfig for the command."""
-    allowed = _COMMAND_KEYS.get(command)
-    if allowed is None:
-        raise ConfigError(f"unknown command {command!r}")
-    cfg = ExperimentConfig(command=command)
+    parsers = _accepted_settings(command, mapping)
+    values = {}
     for key, raw in mapping.items():
-        if key not in allowed:
-            raise ConfigError(f"unknown key {key!r} for command {command!r}")
         try:
-            value = _SCHEMA[key](raw)
+            values[key] = parsers[key](raw)
         except ValueError as exc:
             raise ConfigError(f"bad value for {key!r}: {raw!r} ({exc})") from exc
-        setattr(cfg, key, value)
-    return cfg
+    return ExperimentConfig(command=command, **values)
 
 
 def _require(cfg, *names):
@@ -220,42 +195,53 @@ def ensure_finite(name, arr):
 # solve
 # ---------------------------------------------------------------------------
 
-def _build_ensemble(cfg, seed):
+def _seeded_problem(cfg, seed):
+    """The seed's standard normal signal, measured as the config says."""
     if cfg.kind == "gaussian":
         _require(cfg, "d", "m")
-        return gaussian_ensemble(cfg.d, cfg.m, seed)
-    if cfg.kind == "hadamard":
+        ens = gaussian_ensemble(cfg.d, cfg.m, seed)
+    elif cfg.kind == "hadamard":
         _require(cfg, "l", "k")
-        return hadamard_ensemble(cfg.l, cfg.k, seed)
-    raise ConfigError(f"unknown ensemble kind {cfg.kind!r}")
+        ens = hadamard_ensemble(cfg.l, cfg.k, seed)
+    else:
+        raise ConfigError(f"unknown ensemble kind {cfg.kind!r}")
+    noise = None
+    if cfg.noise_p_fail > 0.0:
+        noise = NoiseModel(p_fail=cfg.noise_p_fail, scale=cfg.noise_scale,
+                           seed=cfg.noise_seed, kind=cfg.noise_kind)
+    xbar = rng_for(seed, _TAG_SIGNAL).standard_normal(ens.d)
+    return take_measurements(ens, xbar, noise)
 
 
-def _noise_model(cfg):
-    if cfg.noise_p_fail <= 0.0:
-        return None
-    return NoiseModel(p_fail=cfg.noise_p_fail, scale=cfg.noise_scale,
-                      seed=cfg.noise_seed, kind=cfg.noise_kind)
+def _init_and_solve(problem, cfg, seed):
+    """Timed spectral init plus Polyak run; non-finite values raise NumericalError.
 
-
-def _solver_config(cfg):
-    return solver.SolverConfig(min_value=cfg.min_value, max_iters=cfg.max_iters,
-                               tol_value=cfg.tol_value, tol_dist=cfg.tol_dist)
-
-
-def _init_fields(report):
-    """Summary entries that tell whether the spectral init hit its cap."""
-    return {"init_converged": report.converged, "init_iters": report.power_iters,
-            "init_residual": _json_scalar(report.residual)}
+    Returns the init report, the trace, and the summary entries every command
+    reports: stop status, iterations, init convergence and wall time.
+    """
+    t0 = time.perf_counter()
+    report = spectral.spectral_init(problem, spectral.PowerConfig(seed=seed))
+    trace = solver.run(problem, report.x0, solver.SolverConfig(
+        min_value=cfg.min_value, max_iters=cfg.max_iters, tol_value=cfg.tol_value,
+        tol_dist=cfg.tol_dist))
+    wall = time.perf_counter() - t0
+    if trace.status == solver.NON_FINITE:
+        raise NumericalError("non-finite objective or subgradient in the solve")
+    ensure_finite("final iterate", trace.final_x)
+    entries = {
+        "status": trace.status,
+        "iterations": trace.iterations,
+        "init_converged": report.converged,
+        "init_iters": report.power_iters,
+        "init_residual": _json_scalar(report.residual),
+        "wall_time_s": wall,
+    }
+    return report, trace, entries
 
 
 def _run_one_seed(cfg, seed):
-    ens = _build_ensemble(cfg, seed)
-    xbar = rng_for(seed, _TAG_SIGNAL).standard_normal(ens.d)
-    problem = take_measurements(ens, xbar, _noise_model(cfg))
-    t0 = time.perf_counter()
-    report = spectral.spectral_init(problem, spectral.PowerConfig(seed=seed))
-    trace = solver.run(problem, report.x0, _solver_config(cfg))
-    wall = time.perf_counter() - t0
+    problem = _seeded_problem(cfg, seed)
+    report, trace, entries = _init_and_solve(problem, cfg, seed)
     try:
         rate = solver.geometric_rate_estimate(trace, window=50)
     except ValueError:
@@ -263,13 +249,10 @@ def _run_one_seed(cfg, seed):
     final_rel = trace.records[-1].rel_dist if trace.records else None
     summary = {
         "seed": seed,
-        "status": trace.status,
-        "iterations": trace.iterations,
         "final_rel_dist": _json_scalar(final_rel),
         "rate_estimate": _json_scalar(rate),
         "init_selected": report.n_selected,
-        **_init_fields(report),
-        "wall_time_s": wall,
+        **entries,
     }
     return problem, trace, summary
 
@@ -289,7 +272,6 @@ def run_solve_experiment(cfg):
     summaries = []
     for seed in cfg.seeds:
         _, trace, summary = _run_one_seed(cfg, seed)
-        ensure_finite("final iterate", trace.final_x)
         write_trace_csv(os.path.join(cfg.out_dir, f"trace_seed{seed}.csv"), trace)
         summaries.append(summary)
         if not cfg.quiet:
@@ -381,9 +363,7 @@ class ImageBuffer:
         return flat.reshape(3, self.height, self.width).transpose(1, 2, 0)
 
 
-def run_image_pipeline(input_path, output_path, k, seed, max_iters=2000,
-                       tol_dist=1e-10, tol_value=0.0, min_value=0.0,
-                       summary_path=None, quiet=True):
+def run_image_command(cfg):
     """Recover an image from Hadamard-sketch magnitude measurements.
 
     Reads a P5/P6 image, vectorizes channel-major with zero padding to a
@@ -392,19 +372,13 @@ def run_image_pipeline(input_path, output_path, k, seed, max_iters=2000,
     by choosing the sign with smaller negativity mass over the pixel region,
     clamps to [0, 255], and writes the recovered image plus a JSON summary.
     """
-    buf = ImageBuffer.from_array(netpbm.read_image(input_path))
+    _require(cfg, "input", "output", "k")
+    buf = ImageBuffer.from_array(netpbm.read_image(cfg.input))
     xbar = buf.to_vector()
-    ens = hadamard_ensemble(buf.pad_len, k, seed)
+    ens = hadamard_ensemble(buf.pad_len, cfg.k, cfg.seed)
     problem = take_measurements(ens, xbar)
-    t0 = time.perf_counter()
-    report = spectral.spectral_init(problem, spectral.PowerConfig(seed=seed))
-    trace = solver.run(problem, report.x0,
-                       solver.SolverConfig(min_value=min_value, max_iters=max_iters,
-                                           tol_value=tol_value, tol_dist=tol_dist))
-    wall = time.perf_counter() - t0
+    _, trace, entries = _init_and_solve(problem, cfg, cfg.seed)
     x = trace.final_x
-    ensure_finite("recovered vector", x)
-
     region = x[: buf.n_samples]
     if np.sum(np.maximum(0.0, -region)) > np.sum(np.maximum(0.0, region)):
         x = -x
@@ -414,34 +388,32 @@ def run_image_pipeline(input_path, output_path, k, seed, max_iters=2000,
     else:
         rel = 0.0 if np.linalg.norm(x) == 0 else math.inf
     recovered = buf.from_vector(x)
-    netpbm.write_image(output_path, recovered)
+    netpbm.write_image(cfg.output, recovered)
     summary = {
         "width": buf.width,
         "height": buf.height,
         "channels": buf.channels,
         "pad_len": buf.pad_len,
-        "k": k,
-        "seed": seed,
-        "status": trace.status,
-        "iterations": trace.iterations,
+        "k": cfg.k,
+        "seed": cfg.seed,
         "rel_dist": _json_scalar(rel),
         "exact_pixel_fraction": float(np.mean(recovered == buf.pixels)),
-        **_init_fields(report),
-        "wall_time_s": wall,
+        **entries,
     }
-    write_json(summary_path or output_path + ".json", summary)
-    if not quiet:
-        print(f"image {input_path}: status={trace.status} iters={trace.iterations}"
+    write_json(cfg.out or cfg.output + ".json", summary)
+    if not cfg.quiet:
+        print(f"image {cfg.input}: status={trace.status} iters={trace.iterations}"
               f" rel_dist={rel:.3g} exact={summary['exact_pixel_fraction']:.4f}")
     return summary
 
 
-def run_image_command(cfg):
-    _require(cfg, "input", "output", "k")
-    return run_image_pipeline(cfg.input, cfg.output, cfg.k, cfg.seed,
-                              max_iters=cfg.max_iters, tol_dist=cfg.tol_dist,
-                              tol_value=cfg.tol_value, min_value=cfg.min_value,
-                              summary_path=cfg.out, quiet=cfg.quiet)
+def run_image_pipeline(input_path, output_path, k, seed, summary_path=None,
+                       quiet=True, **settings):
+    """``run_image_command`` with paths as arguments, other image settings as keywords."""
+    _accepted_settings("image", settings)
+    return run_image_command(ExperimentConfig(
+        command="image", input=input_path, output=output_path, k=k, seed=seed,
+        out=summary_path, quiet=quiet, **settings))
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +441,9 @@ def certify_points(points, xbar, m, threshold=10.0):
         ensure_finite(f"candidate {idx}", x)
         cert = landscape.certify_stationary(x, xbar, xbar.shape[0], m,
                                             threshold=threshold)
-        if np.linalg.norm(x) > 0 and not all(
+        with np.errstate(over="ignore"):  # an overflowing norm fails just below
+            nonzero = np.linalg.norm(x) > 0
+        if nonzero and not all(
                 math.isfinite(v) for v in (cert.block1_score, cert.block2_ratio_score,
                                            cert.block2_angle_score)):
             raise NumericalError(f"non-finite certificate scores for candidate {idx}")
@@ -518,9 +492,7 @@ def run_certify(cfg):
 def run_probe(cfg):
     """Run one regularity probe on a seeded Gaussian problem and report JSON."""
     _require(cfg, "probe", "d", "m")
-    ens = gaussian_ensemble(cfg.d, cfg.m, cfg.seed)
-    xbar = rng_for(cfg.seed, _TAG_SIGNAL).standard_normal(cfg.d)
-    problem = take_measurements(ens, xbar)
+    problem = _seeded_problem(cfg, cfg.seed)
     out = {"probe": cfg.probe, "d": cfg.d, "m": cfg.m, "seed": cfg.seed,
            "samples": cfg.samples}
     if cfg.probe == "sharpness":
@@ -530,7 +502,8 @@ def run_probe(cfg):
         est = objective.weak_convexity_probe(problem, cfg.samples, cfg.radius, cfg.seed)
         out["rho_hat"] = _json_scalar(est.rho_hat)
     elif cfg.probe == "concentration":
-        out["max_deviation"] = objective.concentration_probe(ens, cfg.samples, cfg.seed)
+        out["max_deviation"] = objective.concentration_probe(
+            problem.ensemble, cfg.samples, cfg.seed)
     else:
         raise ConfigError(f"unknown probe {cfg.probe!r}")
     if cfg.out is not None:

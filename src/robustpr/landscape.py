@@ -105,6 +105,34 @@ class AuditPair:
     radius: float
 
 
+def _rank_two_eig(alpha, nv, nb2):
+    """Eigenpairs of X restricted to span(xbar, v), elementwise in its inputs.
+
+    Here x = alpha xbar + v with v perp xbar, nv = |v| and nb2 = |xbar|^2.
+    Returns (lambda_1, lambda_d, trace, a, b): (a, b) is the unit eigenvector
+    of lambda_1 in the orthonormal pair (xbar/nb, v/nv), (-b, a) that of lambda_d.
+    """
+    # The restriction is [[(alpha^2 - 1) nb^2, alpha nb nv], [alpha nb nv, nv^2]].
+    m00 = (alpha * alpha - 1.0) * nb2
+    m01 = alpha * math.sqrt(nb2) * nv
+    m11 = nv * nv
+    tr = m00 + m11
+    disc = np.hypot(m00 - m11, 2.0 * m01)
+    lam1 = 0.5 * (tr + disc)
+    lamd = 0.5 * (tr - disc)
+    # Stable branch: the longer of two candidate eigenvectors; the other can cancel.
+    a_first, b_first = m01, lam1 - m00
+    a_alt, b_alt = lam1 - m11, m01
+    use_alt = np.hypot(a_alt, b_alt) > np.hypot(a_first, b_first)
+    a = np.where(use_alt, a_alt, a_first)
+    b = np.where(use_alt, b_alt, b_first)
+    norm = np.hypot(a, b)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        a = np.where(norm > 0, a / norm, 1.0)
+        b = np.where(norm > 0, b / norm, 0.0)
+    return lam1, lamd, tr, a, b
+
+
 def rank_two_spectrum(x, xbar):
     """Closed-form extreme eigenpairs of X = x x^T - xbar xbar^T.
 
@@ -134,26 +162,16 @@ def rank_two_spectrum(x, xbar):
             return RankTwoSpectrum(s, 0.0, xbar / nb, None, collinear=True, degenerate=False)
         return RankTwoSpectrum(0.0, s, None, xbar / nb, collinear=True, degenerate=False)
 
-    # 2x2 restriction to the orthonormal pair (xbar/nb, v/nv):
-    #     [[(alpha^2 - 1) nb^2, alpha nb nv], [alpha nb nv, nv^2]]
-    m00 = (alpha * alpha - 1.0) * nb2
-    m01 = alpha * nb * nv
-    m11 = nv * nv
-    tr = m00 + m11
-    disc = math.hypot(m00 - m11, 2.0 * m01)
-    lam1 = 0.5 * (tr + disc)
-    lamd = 0.5 * (tr - disc)
-
-    def back(lam):
-        a, b = m01, lam - m00
-        a2, b2 = lam - m11, m01
-        if math.hypot(a2, b2) > math.hypot(a, b):
-            a, b = a2, b2
-        e = a * (xbar / nb) + b * (v / nv)
-        return e / np.linalg.norm(e)
-
-    return RankTwoSpectrum(lam1, lamd, back(lam1), back(lamd),
+    lam1, lamd, _, a, b = _rank_two_eig(alpha, nv, nb2)
+    u, w = xbar / nb, v / nv
+    return RankTwoSpectrum(float(lam1), float(lamd), a * u + b * w, -b * u + a * w,
                            collinear=False, degenerate=False)
+
+
+def _zeta_interior(y1, y2, t):
+    # t = y1 + y2, passed in so callers choose how the trace is rounded
+    return (4.0 / math.pi) * (t * np.arctan(np.sqrt(-y1 / y2))
+                              + np.sqrt(np.maximum(-y1 * y2, 0.0))) - t
 
 
 def zeta(y1, y2):
@@ -169,14 +187,13 @@ def zeta(y1, y2):
         return float(y1)
     if y1 == 0.0:
         return float(-y2)
-    t = y1 + y2
-    return (4.0 / math.pi) * (t * math.atan(math.sqrt(-y1 / y2)) + math.sqrt(-y1 * y2)) - t
+    return float(_zeta_interior(y1, y2, y1 + y2))
 
 
 def _zeta_d1(y1, y2):
     # Simplified from the quotient form; equals the partial of zeta in y1.
-    return (4.0 / math.pi) * (math.sqrt(-y1 * y2) / (y1 - y2)
-                              + math.atan(math.sqrt(-y1 / y2))) - 1.0
+    return (4.0 / math.pi) * (np.sqrt(np.maximum(-y1 * y2, 0.0)) / (y1 - y2)
+                              + np.arctan(np.sqrt(-y1 / y2))) - 1.0
 
 
 def zeta_grad(y1, y2):
@@ -189,7 +206,7 @@ def zeta_grad(y1, y2):
     """
     if y1 <= 0.0 or y2 >= 0.0:
         raise NonsmoothPointError(f"zeta is not differentiable at ({y1}, {y2})")
-    return _zeta_d1(y1, y2), -_zeta_d1(-y2, -y1)
+    return float(_zeta_d1(y1, y2)), float(-_zeta_d1(-y2, -y1))
 
 
 def population_value(x, xbar):
@@ -361,19 +378,19 @@ def certify_stationary(x, xbar, d, m, threshold=10.0):
     if nb == 0.0:
         raise ValueError("xbar must be nonzero")
     scale = (d / m) ** 0.25
-    nx = float(np.linalg.norm(x))
-    dminus = float(np.linalg.norm(x - xbar))
-    dplus = float(np.linalg.norm(x + xbar))
-    block1 = nx * dminus * dplus / nb**3
-    if nx == 0.0:
-        return LandscapeCertificate(block1_score=block1, block2_ratio_score=math.inf,
-                                    block2_angle_score=math.inf, scale=scale,
-                                    verdict=NEAR_ZERO)
-    c = critical_ratio()
-    ratio = abs(nx / nb - c) / (1.0 + nb / nx)
     with np.errstate(over="ignore"):
         # overflow for absurd candidates surfaces as inf scores; callers that
         # serialize certificates treat that as a numerical failure
+        nx = float(np.linalg.norm(x))
+        dminus = float(np.linalg.norm(x - xbar))
+        dplus = float(np.linalg.norm(x + xbar))
+        block1 = nx * dminus * dplus / nb**3
+        if nx == 0.0:
+            return LandscapeCertificate(block1_score=block1, block2_ratio_score=math.inf,
+                                        block2_angle_score=math.inf, scale=scale,
+                                        verdict=NEAR_ZERO)
+        c = critical_ratio()
+        ratio = abs(nx / nb - c) / (1.0 + nb / nx)
         angle = (abs(float(x @ xbar)) / (nx * nb)) * (nx / nb)
     n1 = block1 / scale
     n2 = max(ratio, angle) / scale
@@ -417,31 +434,15 @@ def population_grid(xbar, x1, x2):
     nx = np.hypot(x1, x2)
     collinear = nv <= COLLINEAR_TOL * nx
 
-    m00 = (alpha * alpha - 1.0) * nb2
-    m01 = alpha * nb * nv
-    m11 = nv * nv
-    tr = m00 + m11
-    disc = np.hypot(m00 - m11, 2.0 * m01)
-    lam1 = 0.5 * (tr + disc)
-    lamd = 0.5 * (tr - disc)
+    lam1, lamd, tr, a, b = _rank_two_eig(alpha, nv, nb2)
 
     with np.errstate(invalid="ignore", divide="ignore"):
-        root = np.sqrt(np.maximum(-lam1 * lamd, 0.0))
-        f_interior = (4.0 / math.pi) * (tr * np.arctan(np.sqrt(-lam1 / lamd)) + root) - tr
-        d1 = (4.0 / math.pi) * (root / (lam1 - lamd) + np.arctan(np.sqrt(-lam1 / lamd))) - 1.0
-        d2 = 1.0 - (4.0 / math.pi) * (root / (lam1 - lamd) + np.arctan(np.sqrt(-lamd / lam1)))
-
-        # Unit eigenvector for lam1 in the (xbar/nb, v/nv) basis, stable branch.
-        a_first, b_first = m01, lam1 - m00
-        a_alt, b_alt = lam1 - m11, m01
-        use_alt = np.hypot(a_alt, b_alt) > np.hypot(a_first, b_first)
-        a = np.where(use_alt, a_alt, a_first)
-        b = np.where(use_alt, b_alt, b_first)
-        norm = np.hypot(a, b)
-        a = np.where(norm > 0, a / norm, 1.0)
-        b = np.where(norm > 0, b / norm, 0.0)
-        # Coordinates of x in that basis are (alpha nb, nv); the eigenbasis is
-        # orthonormal, so the gradient norm is the hypot of its coefficients.
+        f_interior = _zeta_interior(lam1, lamd, tr)
+        d1 = _zeta_d1(lam1, lamd)
+        d2 = -_zeta_d1(-lamd, -lam1)
+        # Coordinates of x in the (xbar/nb, v/nv) basis are (alpha nb, nv);
+        # the eigenbasis is orthonormal, so the gradient norm is the hypot of
+        # its coefficients.
         xc = alpha * nb
         g1 = 2.0 * d1 * (a * xc + b * nv)
         gd = 2.0 * d2 * (-b * xc + a * nv)
@@ -500,15 +501,12 @@ def _empirical_grids(problem, pts):
     return f, gn
 
 
-def _ratio_at(problem, pts, f_pop_at):
-    f_emp, _ = _empirical_grids(problem, pts)
-    xbar = problem.truth
+def _deviation_ratio(xbar, pts, f_emp, f_pop):
+    """|f_S - F| / (|x-xbar| |x+xbar|) at (N, 2) points, 0 where that product vanishes."""
     denom = (np.linalg.norm(pts - xbar, axis=1)
              * np.linalg.norm(pts + xbar, axis=1))
     ok = denom > 1e-12 * float(xbar @ xbar)
-    out = np.zeros(pts.shape[0])
-    out[ok] = np.abs(f_emp[ok] - f_pop_at[ok]) / denom[ok]
-    return out
+    return np.where(ok, np.abs(f_emp - f_pop) / np.where(ok, denom, 1.0), 0.0)
 
 
 def _deviation_ratio_max(problem, pts, f_emp, f_pop, cell):
@@ -518,10 +516,7 @@ def _deviation_ratio_max(problem, pts, f_emp, f_pop, cell):
     refined with two rounds of local sub-grids.
     """
     xbar = problem.truth
-    denom = (np.linalg.norm(pts - xbar, axis=1)
-             * np.linalg.norm(pts + xbar, axis=1))
-    ok = denom > 1e-12 * float(xbar @ xbar)
-    ratio = np.where(ok, np.abs(f_emp - f_pop) / np.where(ok, denom, 1.0), 0.0)
+    ratio = _deviation_ratio(xbar, pts, f_emp, f_pop)
     best = float(ratio.max())
     centers = pts[np.argsort(ratio)[-10:]]
     span = cell
@@ -531,7 +526,8 @@ def _deviation_ratio_max(problem, pts, f_emp, f_pop, cell):
         locals_ = np.concatenate([c[None, :] + np.column_stack([o1.ravel(), o2.ravel()])
                                   for c in centers])
         f_loc, _ = population_grid(xbar, locals_[:, 0], locals_[:, 1])
-        r = _ratio_at(problem, locals_, f_loc)
+        f_emp_loc, _ = _empirical_grids(problem, locals_)
+        r = _deviation_ratio(xbar, locals_, f_emp_loc, f_loc)
         if r.max() > best:
             best = float(r.max())
         centers = locals_[np.argsort(r)[-10:]]

@@ -21,10 +21,6 @@ import numpy as np
 
 from .measure import DENSE_GAUSSIAN, apply, apply_adjoint, rng_for
 
-# Above this many measurements, accumulate residuals with exact (compensated)
-# summation so traces reproduce across platforms.
-_FSUM_THRESHOLD = 100_000
-
 _TAG_WEAK_CONVEXITY = 10
 _TAG_SHARPNESS = 11
 _TAG_CONCENTRATION = 12
@@ -46,10 +42,7 @@ def _residuals(problem, x):
 
 
 def _mean_abs(r):
-    r = np.abs(r)
-    if r.size > _FSUM_THRESHOLD:
-        return math.fsum(r) / r.size
-    return float(np.mean(r))
+    return float(np.mean(np.abs(r)))
 
 
 def _chain_rule(problem, ax, r):

@@ -7,8 +7,9 @@ The step from x uses the known minimal value of the objective:
 which needs no step-size tuning.  For noiseless phase retrieval the minimum
 is 0; corrupted problems have unknown positive minima, so the value is
 configurable.  The loop stops on a value tolerance, a relative-distance
-tolerance (when the signal is known), a vanishing subgradient, or the
-iteration cap; tolerances set to 0 / None are disabled.
+tolerance (when the signal is known), a vanishing subgradient, a value or
+subgradient norm that is not finite (status ``non_finite``, recorded for that
+iterate), or the iteration cap; tolerances set to 0 / None are disabled.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from . import objective
 CONVERGED = "converged"
 MAX_ITERS = "max_iters"
 ZERO_SUBGRADIENT = "zero_subgradient"
+NON_FINITE = "non_finite"
 
 
 @dataclass(frozen=True)
@@ -35,7 +37,7 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class PolyakStep:
-    """One evaluated step; ``next_x`` is None when the subgradient vanished."""
+    """One evaluated step; ``next_x`` is None if zeta = 0 or f or |zeta| is not finite."""
 
     next_x: np.ndarray | None
     f_value: float
@@ -67,8 +69,8 @@ def polyak_step(problem, x, min_value=0.0):
     x = np.asarray(x, dtype=np.float64)
     f, zeta = objective.value_and_subgradient(problem, x)
     gn = float(np.linalg.norm(zeta))
-    if gn == 0.0:
-        return PolyakStep(next_x=None, f_value=f, subgrad_norm=0.0)
+    if gn == 0.0 or not (math.isfinite(f) and math.isfinite(gn)):
+        return PolyakStep(next_x=None, f_value=f, subgrad_norm=gn)
     return PolyakStep(next_x=x - ((f - min_value) / gn**2) * zeta, f_value=f, subgrad_norm=gn)
 
 
@@ -98,6 +100,9 @@ def run(problem, x0, cfg):
             TraceRecord(k=k, f_value=step.f_value, subgrad_norm=step.subgrad_norm,
                         step_length=length, rel_dist=rel)
         )
+        if not (math.isfinite(step.f_value) and math.isfinite(step.subgrad_norm)):
+            trace.status = NON_FINITE
+            break
         if cfg.tol_value > 0.0 and step.f_value <= cfg.tol_value:
             trace.status = CONVERGED
             break

@@ -96,3 +96,13 @@ def test_image_command_end_to_end(tmp_path):
                  "quiet=true"])
     assert code == 0
     np.testing.assert_array_equal(netpbm.read_image(out), img)
+
+
+def test_non_finite_solve_is_numerical_failure(tmp_path, capsys):
+    # Noise at scale 1e308 overflows to inf, and inf * 0 to NaN, while the
+    # measurements are taken; the solve must stop at once and exit with 3.
+    with pytest.warns(RuntimeWarning):
+        code = main(["solve", "d=10", "m=40", "noise_p_fail=0.5", "noise_scale=1e308",
+                     "seeds=0", f"out_dir={tmp_path}", "quiet=true"])
+    assert code == 3
+    assert "non-finite objective or subgradient" in capsys.readouterr().err

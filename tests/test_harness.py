@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -121,6 +122,68 @@ def test_build_config_coercion_and_types():
         harness.build_config("solve", {"d": "twenty"})
 
 
+# The settings each command accepts and every default, written out as data
+# so that a change to the one declaration in ExperimentConfig shows here.
+COMMAND_KEYS = {
+    "solve": {"kind", "d", "m", "l", "k", "seeds", "min_value", "max_iters",
+              "tol_value", "tol_dist", "noise_p_fail", "noise_scale",
+              "noise_seed", "noise_kind", "out_dir", "quiet"},
+    "landscape": {"xbar", "half_width", "grid_n", "out", "quiet"},
+    "certify": {"candidates", "truth", "m", "threshold", "out", "kind", "d",
+                "l", "k", "seeds", "min_value", "max_iters", "tol_value",
+                "tol_dist", "quiet"},
+    "image": {"input", "output", "k", "seed", "max_iters", "tol_value",
+              "tol_dist", "min_value", "out", "quiet"},
+    "probe": {"probe", "d", "m", "seed", "samples", "radius", "out", "quiet"},
+}
+
+DEFAULTS = {
+    "kind": "gaussian", "d": None, "m": None, "l": None, "k": None, "seed": 0,
+    "seeds": [0], "min_value": 0.0, "max_iters": 2000, "tol_value": 0.0,
+    "tol_dist": 1e-10, "noise_p_fail": 0.0, "noise_scale": 0.0, "noise_seed": 0,
+    "noise_kind": "gaussian", "out_dir": ".", "out": None, "xbar": None,
+    "half_width": 2.0, "grid_n": 201, "candidates": None, "truth": None,
+    "threshold": 10.0, "input": None, "output": None, "probe": None,
+    "samples": 200, "radius": 1.0, "quiet": False,
+}
+
+RAW_VALUES = {
+    "kind": "hadamard", "d": "3", "m": "9", "l": "8", "k": "2", "seed": "4",
+    "seeds": "1,2", "min_value": "0.5", "max_iters": "7", "tol_value": "1e-3",
+    "tol_dist": "none", "noise_p_fail": "0.1", "noise_scale": "2",
+    "noise_seed": "5", "noise_kind": "uniform", "out_dir": "runs", "out": "o.json",
+    "xbar": "1,2", "half_width": "1.5", "grid_n": "11", "candidates": "c.json",
+    "truth": "t.json", "threshold": "3", "input": "in.pgm", "output": "out.pgm",
+    "probe": "sharpness", "samples": "10", "radius": "0.5", "quiet": "yes",
+}
+
+
+def test_config_defaults_are_pinned():
+    cfg = dataclasses.asdict(harness.ExperimentConfig(command="solve"))
+    assert cfg.pop("command") == "solve"
+    assert cfg == DEFAULTS
+    assert set(RAW_VALUES) == set(DEFAULTS)
+    # the list default is not shared between instances
+    harness.ExperimentConfig(command="solve").seeds.append(1)
+    assert harness.ExperimentConfig(command="solve").seeds == [0]
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_KEYS))
+def test_each_command_accepts_exactly_its_keys(command):
+    for key, raw in RAW_VALUES.items():
+        if key in COMMAND_KEYS[command]:
+            cfg = harness.build_config(command, {key: raw})
+            assert getattr(cfg, key) != DEFAULTS[key]
+        else:
+            with pytest.raises(harness.ConfigError, match="unknown key"):
+                harness.build_config(command, {key: raw})
+
+
+def test_build_config_unknown_command():
+    with pytest.raises(harness.ConfigError, match="unknown command"):
+        harness.build_config("frobnicate", {})
+
+
 # ---------------------------------------------------------------------------
 # solve experiment
 # ---------------------------------------------------------------------------
@@ -187,6 +250,22 @@ def test_run_solve_experiment_hadamard_kind(tmp_path):
     summary = harness.run_solve_experiment(cfg)[0]
     assert summary["status"] == "converged"
     assert (tmp_path / "trace_seed1.csv").exists()
+
+
+def test_non_finite_solve_fails_even_at_a_finite_iterate(tmp_path, monkeypatch):
+    # b_0 = -inf makes mean(b) <= 0, so the init returns x0 = 0; there the
+    # subgradient vanishes and the iterate stays finite while f = inf.
+    real = harness.take_measurements
+
+    def corrupted(ens, xbar, noise=None):
+        problem = real(ens, xbar, noise)
+        b = problem.b.copy()
+        b[0] = -math.inf
+        return rp.PhaseProblem(ensemble=ens, b=b, truth=problem.truth.copy())
+
+    monkeypatch.setattr(harness, "take_measurements", corrupted)
+    with pytest.raises(harness.NumericalError, match="non-finite"):
+        harness.run_solve_experiment(solve_cfg(tmp_path, seeds=[0]))
 
 
 def test_run_solve_experiment_unwritable_dir(tmp_path):
@@ -263,6 +342,23 @@ def test_image_pipeline_pads_non_power_of_two(tmp_path):
     summary = harness.run_image_pipeline(str(src), str(out), k=3, seed=1)
     assert summary["pad_len"] == 128
     np.testing.assert_array_equal(netpbm.read_image(out), img)
+
+
+def test_image_pipeline_takes_solver_settings(tmp_path):
+    src = tmp_path / "in.pgm"
+    netpbm.write_image(src, gradient_image(8, 8))
+    summary = harness.run_image_pipeline(str(src), str(tmp_path / "out.pgm"),
+                                         k=3, seed=7, max_iters=1)
+    assert summary["iterations"] == 1
+    assert summary["status"] == "max_iters"
+
+
+def test_image_pipeline_rejects_keys_image_does_not_take(tmp_path):
+    src = tmp_path / "in.pgm"
+    netpbm.write_image(src, gradient_image(8, 8))
+    with pytest.raises(harness.ConfigError, match="unknown key 'd'"):
+        harness.run_image_pipeline(str(src), str(tmp_path / "out.pgm"),
+                                   k=3, seed=7, d=3)
 
 
 def test_image_pipeline_rgb(tmp_path):

@@ -163,3 +163,19 @@ def test_run_rejects_bad_start_shape():
     p = seeded_problem(5, 20, seed=0)
     with pytest.raises(ValueError):
         rp.run(p, np.ones(6), rp.SolverConfig(max_iters=5))
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_run_stops_on_non_finite_value(bad):
+    p = seeded_problem(5, 20, seed=0)
+    b = p.b.copy()
+    b[3] = bad
+    corrupted = rp.PhaseProblem(ensemble=p.ensemble, b=b, truth=p.truth.copy())
+    x0 = np.ones(5)
+    trace = rp.run(corrupted, x0, rp.SolverConfig(max_iters=50))
+    assert rp.NON_FINITE == "non_finite"
+    assert trace.status == rp.NON_FINITE
+    assert trace.iterations == 1
+    assert not math.isfinite(trace.records[0].f_value)
+    np.testing.assert_array_equal(trace.final_x, x0)
+    assert rp.polyak_step(corrupted, x0).next_x is None
