@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measure import densify, rng_for
-from .objective import weak_convexity_probe
+from .measure import NoiseModel, corruption, rng_for
+from .objective import value, value_and_subgradient, weak_convexity_probe
 
 NEAR_SIGNAL = "near_signal"
 NEAR_ZERO = "near_zero"
@@ -46,6 +46,10 @@ _TAG_MC_POPULATION = 30
 _TAG_MC_SPECTRAL = 31
 _TAG_MC_CORRUPT_MASK = 32
 _TAG_MC_CORRUPT_XI = 33
+
+# The audit evaluates f_S on blocks of points with at most this many residuals
+# each, which bounds its (points, m) temporaries.
+_BLOCK_RESIDUALS = int(1e6)
 
 
 class NonsmoothPointError(Exception):
@@ -338,22 +342,15 @@ def mc_corrupted_population_value(x, xbar, p_fail, scale, n, seed, kind="gaussia
     pair uses the same stream as ``mc_spectral_value``, so p_fail = 0
     reproduces that estimate exactly.
     """
-    if not 0.0 <= p_fail < 1.0:
-        raise ValueError(f"p_fail must lie in [0, 1), got {p_fail}")
+    noise = NoiseModel(p_fail=p_fail, scale=scale, seed=seed, kind=kind)
     if n < 1:
         raise ValueError("n must be positive")
     spec = rank_two_spectrum(x, xbar)
     v1, v2 = _chi2_pair(n, seed)
     core = v1 * spec.lambda_max + v2 * spec.lambda_min
-    delta = rng_for(seed, _TAG_MC_CORRUPT_MASK).random(int(n)) < p_fail
-    rng = rng_for(seed, _TAG_MC_CORRUPT_XI)
-    if kind == "gaussian":
-        xi = scale * rng.standard_normal(int(n))
-    elif kind == "uniform":
-        xi = rng.uniform(-scale, scale, size=int(n))
-    else:
-        raise ValueError(f"unknown noise kind {kind!r}")
-    return _mc_mean(np.abs(core - delta * xi))
+    errors = corruption(noise, int(n), rng_for(seed, _TAG_MC_CORRUPT_MASK),
+                        rng_for(seed, _TAG_MC_CORRUPT_XI))
+    return _mc_mean(np.abs(core - errors))
 
 
 def certify_stationary(x, xbar, d, m, threshold=10.0):
@@ -467,38 +464,25 @@ def grid_local_minima(values, max_value=math.inf):
     """
     g = np.where(np.isfinite(values), values, math.inf)
     rows, cols = g.shape
-    out = []
-    for i in range(1, rows - 1):
-        for j in range(1, cols - 1):
-            v = g[i, j]
-            if v > max_value or not math.isfinite(v):
-                continue
-            window = g[i - 1:i + 2, j - 1:j + 2]
-            if v <= window.min():
-                if any(abs(i - pi) <= 1 and abs(j - pj) <= 1 and g[pi, pj] == v
-                       for pi, pj in out):
-                    continue
-                out.append((i, j))
-    return out
+    inner = g[1:-1, 1:-1]
+    window_min = inner
+    for di, dj in np.ndindex(3, 3):
+        window_min = np.minimum(window_min, g[di:rows - 2 + di, dj:cols - 2 + dj])
+    minima = (inner <= window_min) & np.isfinite(inner) & ~(inner > max_value)
+    # Adjacent minima are equal (each is <= the other).  One next to a reported
+    # minimum is skipped; in row-major order only 4 neighbours precede a cell.
+    reported = set()
+    for i, j in (np.argwhere(minima) + 1).tolist():
+        if not any((i + di, j + dj) in reported
+                   for di, dj in ((-1, -1), (-1, 0), (-1, 1), (0, -1))):
+            reported.add((i, j))
+    return sorted(reported)
 
 
-def _empirical_grids(problem, pts):
-    """Objective value and subgradient norm of f_S at the given (N, 2) points."""
-    rows = densify(problem.ensemble)
-    b = problem.b
-    m = rows.shape[0]
-    n = pts.shape[0]
-    f = np.empty(n)
-    gn = np.empty(n)
-    chunk = max(1, int(2e6) // max(m, 1))
-    for start in range(0, n, chunk):
-        p = pts[start:start + chunk]
-        ax = rows @ p.T
-        resid = ax * ax - b[:, None]
-        f[start:start + chunk] = np.mean(np.abs(resid), axis=0)
-        z = (2.0 / m) * (rows.T @ (np.sign(resid) * ax))
-        gn[start:start + chunk] = np.hypot(z[0], z[1])
-    return f, gn
+def _in_blocks(fn, problem, pts):
+    """fn(problem, block) on consecutive blocks of the (N, d) points, as a list."""
+    step = max(1, _BLOCK_RESIDUALS // problem.m)
+    return [fn(problem, pts[start:start + step]) for start in range(0, len(pts), step)]
 
 
 def _deviation_ratio(xbar, pts, f_emp, f_pop):
@@ -526,7 +510,7 @@ def _deviation_ratio_max(problem, pts, f_emp, f_pop, cell):
         locals_ = np.concatenate([c[None, :] + np.column_stack([o1.ravel(), o2.ravel()])
                                   for c in centers])
         f_loc, _ = population_grid(xbar, locals_[:, 0], locals_[:, 1])
-        f_emp_loc, _ = _empirical_grids(problem, locals_)
+        f_emp_loc = np.concatenate(_in_blocks(value, problem, locals_))
         r = _deviation_ratio(xbar, locals_, f_emp_loc, f_loc)
         if r.max() > best:
             best = float(r.max())
@@ -568,7 +552,9 @@ def graph_closeness_audit(problem, grid_half_width, grid_n, *,
     g1, g2 = np.meshgrid(axis, axis, indexing="ij")
     pts = np.column_stack([g1.ravel(), g2.ravel()])
 
-    f_emp, sub_norm = _empirical_grids(problem, pts)
+    f_emp, zeta = map(np.concatenate,
+                      zip(*_in_blocks(value_and_subgradient, problem, pts)))
+    sub_norm = np.hypot(zeta[:, 0], zeta[:, 1])
     f_pop, _ = population_grid(xbar, g1, g2)
     f_pop = f_pop.ravel()
 
@@ -590,19 +576,15 @@ def graph_closeness_audit(problem, grid_half_width, grid_n, *,
         x_s = np.array([axis[i], axis[j]])
         radius = shrink * math.sqrt(np.linalg.norm(x_s - xbar)
                                     * np.linalg.norm(x_s + xbar))
-        if radius > 0:
-            loc = np.linspace(-radius, radius, ball_resolution)
-            l1, l2 = np.meshgrid(x_s[0] + loc, x_s[1] + loc, indexing="ij")
-            _, gnorm = population_grid(xbar, l1, l2)
-            inside = np.hypot(l1 - x_s[0], l2 - x_s[1]) <= radius
-            gnorm = np.where(inside, gnorm, np.nan)
-        else:
-            l1, l2 = np.array([[x_s[0]]]), np.array([[x_s[1]]])
-            _, gnorm = population_grid(xbar, l1, l2)
+        # At radius 0 every ball node is x_s itself.
+        loc = np.linspace(-radius, radius, ball_resolution)
+        l1, l2 = np.meshgrid(x_s[0] + loc, x_s[1] + loc, indexing="ij")
+        _, gnorm = population_grid(xbar, l1, l2)
+        inside = np.hypot(l1 - x_s[0], l2 - x_s[1]) <= radius
+        gnorm = np.where(inside & np.isfinite(gnorm), gnorm, np.nan)
         best_x, best_g = None, math.inf
-        finite = np.isfinite(gnorm)
-        if finite.any():
-            flat = np.nanargmin(np.where(finite, gnorm, np.nan))
+        if not np.isnan(gnorm).all():
+            flat = np.nanargmin(gnorm)
             best_x = np.array([l1.ravel()[flat], l2.ravel()[flat]])
             best_g = float(gnorm.ravel()[flat])
         for point in exact_stationary:

@@ -179,35 +179,46 @@ def fwht(v):
 
 
 def apply(ensemble, x):
-    """Forward product A x, i.e. the vector of inner products <a_i, x>."""
+    """Forward product A x, the inner products <a_i, x>; an (N, d) block of points gives (N, m)."""
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (ensemble.d,):
-        raise ValueError(f"x has shape {x.shape}, expected ({ensemble.d},)")
+    if x.ndim > 2 or x.shape[-1:] != (ensemble.d,):
+        raise ValueError(f"x has shape {x.shape}, expected ({ensemble.d},) or (N, {ensemble.d})")
     if ensemble.kind == DENSE_GAUSSIAN:
-        return ensemble.rows @ x
+        # For a single point this is rows @ x, the same arithmetic as a gemv.
+        return (ensemble.rows @ x.T).T
     # Block j of the sketch output is H (S_j x).
-    return _fwht_last_axis(ensemble.sign_diagonals * x[None, :]).reshape(ensemble.m)
+    out = _fwht_last_axis(ensemble.sign_diagonals * x[..., None, :])
+    return out.reshape(*x.shape[:-1], ensemble.m)
 
 
 def apply_adjoint(ensemble, y):
-    """Adjoint product A^T y."""
+    """Adjoint product A^T y; an (N, m) block gives (N, d)."""
     y = np.asarray(y, dtype=np.float64)
-    if y.shape != (ensemble.m,):
-        raise ValueError(f"y has shape {y.shape}, expected ({ensemble.m},)")
+    if y.ndim > 2 or y.shape[-1:] != (ensemble.m,):
+        raise ValueError(f"y has shape {y.shape}, expected ({ensemble.m},) or (N, {ensemble.m})")
     if ensemble.kind == DENSE_GAUSSIAN:
-        return ensemble.rows.T @ y
+        return (ensemble.rows.T @ y.T).T
     # (H S_j)^T = S_j H, so accumulate S_j (H y_j) over blocks.
     k = ensemble.sign_diagonals.shape[0]
-    blocks = _fwht_last_axis(y.reshape(k, ensemble.d))
-    return np.einsum("kl,kl->l", ensemble.sign_diagonals, blocks)
+    blocks = _fwht_last_axis(y.reshape(*y.shape[:-1], k, ensemble.d))
+    return np.einsum("kl,...kl->...l", ensemble.sign_diagonals, blocks)
 
 
 def densify(ensemble):
     """Materialize the rows of any ensemble as an m x d array (small sizes only)."""
-    if ensemble.kind == DENSE_GAUSSIAN:
-        return np.array(ensemble.rows)
-    eye = np.eye(ensemble.d)
-    return np.stack([apply(ensemble, eye[j]) for j in range(ensemble.d)], axis=1)
+    return np.array(apply(ensemble, np.eye(ensemble.d)).T, order="C")
+
+
+def corruption(noise, n, mask_rng, value_rng):
+    """Additive errors mask * xi of n entries; all zero, drawing no xi, if the mask is empty."""
+    mask = mask_rng.random(n) < noise.p_fail
+    if not mask.any():
+        return np.zeros(n)
+    if noise.kind == "gaussian":
+        xi = noise.scale * value_rng.standard_normal(n)
+    else:
+        xi = value_rng.uniform(-noise.scale, noise.scale, size=n)
+    return mask * xi
 
 
 def measure(ensemble, xbar, noise=None):
@@ -223,12 +234,6 @@ def measure(ensemble, xbar, noise=None):
         raise ValueError(f"xbar has shape {xbar.shape}, expected ({ensemble.d},)")
     b = apply(ensemble, xbar) ** 2
     if noise is not None:
-        mask = rng_for(noise.seed, _TAG_NOISE_MASK).random(ensemble.m) < noise.p_fail
-        if mask.any():
-            rng = rng_for(noise.seed, _TAG_NOISE_VALUES)
-            if noise.kind == "gaussian":
-                xi = noise.scale * rng.standard_normal(ensemble.m)
-            else:
-                xi = rng.uniform(-noise.scale, noise.scale, size=ensemble.m)
-            b = b + mask * xi
+        b = b + corruption(noise, ensemble.m, rng_for(noise.seed, _TAG_NOISE_MASK),
+                           rng_for(noise.seed, _TAG_NOISE_VALUES))
     return PhaseProblem(ensemble=ensemble, b=b, truth=xbar.copy(), noise=noise)

@@ -5,10 +5,11 @@ The objective is the mean absolute residual
     f(x) = (1/m) sum_i |<a_i, x>^2 - b_i|,
 
 whose chain-rule subgradient is (2/m) A^T (s * Ax) with s_i the sign of the
-i-th residual and sign(0) := 0.  The probes estimate the weak-convexity
-modulus, the sharpness slope, and the deviation of the empirical absolute
-product (1/m) sum_i |<a_i,v><a_i,w>| from its Gaussian mean.  Probe results
-are empirical extremes over finite seeded samples: statistical evidence, not
+i-th residual and sign(0) := 0; both take one x or an (N, d) block of points,
+one per row.  The probes estimate the weak-convexity modulus, the sharpness
+slope, and the deviation of the empirical absolute product
+(1/m) sum_i |<a_i,v><a_i,w>| from its Gaussian mean.  Probe results are
+empirical extremes over finite seeded samples: statistical evidence, not
 certificates.
 """
 
@@ -42,7 +43,8 @@ def _residuals(problem, x):
 
 
 def _mean_abs(r):
-    return float(np.mean(np.abs(r)))
+    f = np.mean(np.abs(r), axis=-1)
+    return f if f.ndim else float(f)
 
 
 def _chain_rule(problem, ax, r):

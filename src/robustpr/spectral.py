@@ -155,7 +155,8 @@ def spectral_init(problem, cfg=PowerConfig()):
     """Initial point r_hat * w_hat for the subgradient method.
 
     Degenerate measurements (mean b <= 0, e.g. the zero signal) return the
-    zero vector with n_selected = m, residual 0 and converged set.
+    zero vector with n_selected = m, residual 0 and converged set; a mean
+    that is not finite gives a non-finite start with converged unset.
     """
     b = problem.b
     m = problem.m
@@ -172,4 +173,4 @@ def spectral_init(problem, cfg=PowerConfig()):
     eig = min_eigenvector(op, problem.d, cfg)
     return InitReport(x0=math.sqrt(r2) * eig.w, r_hat=math.sqrt(r2),
                       n_selected=int(mask.sum()), power_iters=eig.iters,
-                      residual=eig.residual, converged=eig.converged)
+                      residual=eig.residual, converged=eig.converged and math.isfinite(r2))

@@ -384,6 +384,21 @@ def test_mc_corrupted_uniform_noise_mean_at_truth():
     assert abs(est.mean - 0.25 * s / 2.0) <= 3.0 * est.std_err
 
 
+def test_mc_corrupted_p_fail_zero_ignores_the_scale():
+    xbar = np.array([1.0, 0.5])
+    x = np.array([0.2, -0.4])
+    spec = rp.rank_two_spectrum(x, xbar)
+    clean = rp.mc_spectral_value(spec.lambda_max, spec.lambda_min, 20_000, seed=5)
+    corrupted = rp.mc_corrupted_population_value(x, xbar, 0.0, math.inf, 20_000, seed=5)
+    assert (corrupted.mean, corrupted.std_err) == (clean.mean, clean.std_err)
+
+
+def test_mc_corrupted_rejects_a_negative_scale():
+    xbar = np.array([1.0, 1.0])
+    with pytest.raises(ValueError):
+        rp.mc_corrupted_population_value(xbar, xbar, 0.1, -1.0, 10, seed=0)
+
+
 def test_mc_domain_checks():
     xbar = np.array([1.0, 1.0])
     with pytest.raises(ValueError):
@@ -488,6 +503,36 @@ def test_grid_local_minima_on_synthetic_surface():
     assert rp.grid_local_minima(g, max_value=0.5) == []
 
 
+def brute_force_local_minima(values, max_value=math.inf):
+    # Cell-by-cell scan in row-major order, kept as the oracle.
+    g = np.where(np.isfinite(values), values, math.inf)
+    rows, cols = g.shape
+    out = []
+    for i in range(1, rows - 1):
+        for j in range(1, cols - 1):
+            v = g[i, j]
+            if v > max_value or not math.isfinite(v):
+                continue
+            if v <= g[i - 1:i + 2, j - 1:j + 2].min():
+                if any(abs(i - pi) <= 1 and abs(j - pj) <= 1 and g[pi, pj] == v
+                       for pi, pj in out):
+                    continue
+                out.append((i, j))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_grid_local_minima_matches_brute_force_with_ties_and_nans(seed):
+    rng = np.random.default_rng(seed)
+    shape = tuple(rng.integers(1, 12, size=2))
+    g = rng.integers(0, 4, size=shape).astype(float)
+    g[rng.random(shape) < 0.15] = np.nan
+    for max_value in (math.inf, 1.0):
+        found = rp.grid_local_minima(g, max_value=max_value)
+        assert found == brute_force_local_minima(g, max_value=max_value)
+        assert all(type(i) is int and type(j) is int for i, j in found)
+
+
 def planar_problem(m, seed=0):
     ens = rp.gaussian_ensemble(2, m, seed=seed)
     xbar = np.array([1.0, 1.0]) / math.sqrt(2.0)
@@ -531,3 +576,17 @@ def test_graph_closeness_audit_input_checks():
                             np.array([1.0, 0.0, 0.0]))
     with pytest.raises(ValueError):
         rp.graph_closeness_audit(not_planar, 1.6, 31)
+
+
+def test_graph_closeness_audit_pairs_the_signal_at_radius_zero():
+    # +-xbar lie on grid nodes, where |x - xbar| |x + xbar| = 0 makes the ball
+    # a single point; the kink there is an exact stationary point of F
+    problem = rp.measure(rp.gaussian_ensemble(2, 2000, seed=1), np.array([1.0, 0.0]))
+    pairs = rp.graph_closeness_audit(problem, 2.0, 41)
+    at_signal = [p for p in pairs if abs(p.x_s[0]) == 1.0 and p.x_s[1] == 0.0]
+    assert len(at_signal) == 2
+    for pair in at_signal:
+        assert pair.radius == 0.0
+        assert pair.dist == 0.0
+        assert pair.pop_grad_norm == 0.0
+        assert np.array_equal(pair.x_p_near, pair.x_s)

@@ -205,3 +205,45 @@ def test_full_64_bit_seeds_are_accepted():
     e2 = rp.gaussian_ensemble(3, 5, seed=big)
     assert np.array_equal(e1.rows, e2.rows)
     assert rp.hadamard_ensemble(4, 1, seed=big).sign_diagonals.shape == (1, 4)
+
+
+@pytest.mark.parametrize("make,exact", [
+    (lambda: rp.gaussian_ensemble(13, 29, seed=5), False),
+    (lambda: rp.hadamard_ensemble(16, 3, seed=5), True),
+])
+def test_apply_on_a_block_equals_per_point_products(make, exact):
+    ens = make()
+    rng = np.random.default_rng(7)
+    xs = rng.standard_normal((6, ens.d))
+    ys = rng.standard_normal((6, ens.m))
+    fwd = rp.apply(ens, xs)
+    adj = rp.apply_adjoint(ens, ys)
+    assert fwd.shape == (6, ens.m) and adj.shape == (6, ens.d)
+    for n in range(6):
+        # a block is a gemm on dense rows, a gemv per point; the sketch is elementwise
+        one_fwd, one_adj = rp.apply(ens, xs[n]), rp.apply_adjoint(ens, ys[n])
+        if exact:
+            assert np.array_equal(fwd[n], one_fwd) and np.array_equal(adj[n], one_adj)
+        else:
+            np.testing.assert_allclose(fwd[n], one_fwd, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(adj[n], one_adj, rtol=1e-12, atol=0)
+
+
+def test_apply_rejects_bad_blocks():
+    for ens in (rp.gaussian_ensemble(3, 5, seed=0), rp.hadamard_ensemble(4, 2, seed=0)):
+        with pytest.raises(ValueError):
+            rp.apply(ens, np.ones((2, 2, ens.d)))
+        with pytest.raises(ValueError):
+            rp.apply(ens, np.ones((2, ens.d + 1)))
+        with pytest.raises(ValueError):
+            rp.apply_adjoint(ens, np.ones((2, 2, ens.m)))
+        with pytest.raises(ValueError):
+            rp.apply_adjoint(ens, np.ones((2, ens.m - 1)))
+
+
+def test_densify_sketch_columns_are_unit_vector_products():
+    ens = rp.hadamard_ensemble(8, 3, seed=4)
+    rows = rp.densify(ens)
+    assert rows.flags.writeable and rows.flags.c_contiguous
+    for j, e_j in enumerate(np.eye(ens.d)):
+        assert np.array_equal(rows[:, j], rp.apply(ens, e_j))

@@ -217,3 +217,23 @@ def test_value_and_subgradient_equals_separate_calls_exactly():
             f, zeta = rp.value_and_subgradient(p, x)
             assert f == rp.value(p, x)
             assert np.array_equal(zeta, rp.subgradient(p, x))
+
+
+def test_objective_on_a_block_equals_per_point_results():
+    dense = seeded_problem(12, 60, seed=5)
+    ens = rp.hadamard_ensemble(16, 3, seed=5)
+    sketch = rp.measure(ens, rp.rng_for(5, 99).standard_normal(16))
+    rng = np.random.default_rng(5)
+    for p, exact in ((dense, False), (sketch, True)):
+        xs = np.vstack([rng.standard_normal((5, p.d)), np.zeros(p.d)])
+        fs, zetas = rp.value_and_subgradient(p, xs)
+        assert fs.shape == (6,) and zetas.shape == (6, p.d)
+        assert np.array_equal(fs, rp.value(p, xs))
+        assert np.array_equal(zetas, rp.subgradient(p, xs))
+        for x, f, zeta in zip(xs, fs, zetas):
+            if exact:
+                assert f == rp.value(p, x)
+                assert np.array_equal(zeta, rp.subgradient(p, x))
+            else:
+                assert f == pytest.approx(rp.value(p, x), rel=1e-12, abs=0)
+                np.testing.assert_allclose(zeta, rp.subgradient(p, x), rtol=1e-12, atol=0)

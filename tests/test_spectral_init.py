@@ -203,3 +203,15 @@ def test_spectral_init_operator_applications_at_benchmark_shape(monkeypatch):
     assert report.converged
     assert len(calls) == report.power_iters + 1
     assert len(calls) <= 300
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_spectral_init_non_finite_measurement_is_not_converged(bad):
+    problem = rp.measure(rp.gaussian_ensemble(6, 40, seed=2),
+                         rp.rng_for(2, 99).standard_normal(6))
+    b = problem.b.copy()
+    b[3] = bad
+    report = rp.spectral_init(rp.PhaseProblem(ensemble=problem.ensemble, b=b),
+                              rp.PowerConfig(seed=2))
+    assert report.converged is False
+    assert not np.all(np.isfinite(report.x0))
