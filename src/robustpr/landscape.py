@@ -50,6 +50,10 @@ _TAG_MC_CORRUPT_XI = 33
 # The audit evaluates f_S on blocks of points with at most this many residuals
 # each, which bounds its (points, m) temporaries.
 _BLOCK_RESIDUALS = int(1e6)
+# rho_hat's weak-convexity probe (triples, seed) and the nodes per side of a ball.
+_PROBE_TRIPLES = 100
+_PROBE_SEED = 0
+_BALL_RESOLUTION = 41
 
 
 class NonsmoothPointError(Exception):
@@ -137,6 +141,18 @@ def _rank_two_eig(alpha, nv, nb2):
     return lam1, lamd, tr, a, b
 
 
+def _split(x, xbar):
+    """x = alpha xbar + v with v perp xbar, for one point: (alpha, v, |v|, |x|^2, |xbar|^2)."""
+    x = np.asarray(x, dtype=np.float64)
+    xbar = np.asarray(xbar, dtype=np.float64)
+    nb2 = float(xbar @ xbar)
+    if nb2 == 0.0:
+        raise ValueError("xbar must be nonzero")
+    alpha = float(x @ xbar) / nb2
+    v = x - alpha * xbar
+    return alpha, v, float(np.linalg.norm(v)), float(x @ x), nb2
+
+
 def rank_two_spectrum(x, xbar):
     """Closed-form extreme eigenpairs of X = x x^T - xbar xbar^T.
 
@@ -144,30 +160,20 @@ def rank_two_spectrum(x, xbar):
     2x2 eigenproblem on span(xbar, v); when the orthogonal part is
     negligible the single nonzero eigenvalue is |x|^2 - |xbar|^2.
     """
-    x = np.asarray(x, dtype=np.float64)
-    xbar = np.asarray(xbar, dtype=np.float64)
-    nb2 = float(xbar @ xbar)
-    if nb2 == 0.0:
-        raise ValueError("xbar must be nonzero")
-    nb = math.sqrt(nb2)
-    nx2 = float(x @ x)
-    nx = math.sqrt(nx2)
-    alpha = float(x @ xbar) / nb2
-    v = x - alpha * xbar
-    nv = float(np.linalg.norm(v))
-
-    if nv <= COLLINEAR_TOL * nx or nx == 0.0:
+    alpha, v, nv, nx2, nb2 = _split(x, xbar)
+    u = np.asarray(xbar, dtype=np.float64) / math.sqrt(nb2)
+    if nv <= COLLINEAR_TOL * math.sqrt(nx2):
         # nx2 and nb2 come from the same dot-product path, so x = +-xbar
         # lands on s == 0 exactly
         s = nx2 - nb2
         if s == 0.0:
             return RankTwoSpectrum(0.0, 0.0, None, None, collinear=True, degenerate=True)
         if s > 0.0:
-            return RankTwoSpectrum(s, 0.0, xbar / nb, None, collinear=True, degenerate=False)
-        return RankTwoSpectrum(0.0, s, None, xbar / nb, collinear=True, degenerate=False)
+            return RankTwoSpectrum(s, 0.0, u, None, collinear=True, degenerate=False)
+        return RankTwoSpectrum(0.0, s, None, u, collinear=True, degenerate=False)
 
     lam1, lamd, _, a, b = _rank_two_eig(alpha, nv, nb2)
-    u, w = xbar / nb, v / nv
+    w = v / nv
     return RankTwoSpectrum(float(lam1), float(lamd), a * u + b * w, -b * u + a * w,
                            collinear=False, degenerate=False)
 
@@ -213,10 +219,30 @@ def zeta_grad(y1, y2):
     return float(_zeta_d1(y1, y2)), float(-_zeta_d1(-y2, -y1))
 
 
+def _population_kernel(alpha, nv, nx2, nb2):
+    """F and its gradient at x = alpha xbar + v (v perp xbar, nv = |v|), elementwise.
+
+    Returns (kink, F, g1, gd, a, b).  ``kink`` marks x collinear with xbar, or
+    so nearly that an eigenvalue of the restriction rounds to 0 or past it:
+    there F = | |x|^2 - |xbar|^2 | and no gradient exists.  Elsewhere grad F =
+    g1 e_max + gd e_min, where x = (xc, nv), e_max = (a, b) and e_min = (-b, a)
+    in the orthonormal basis (xbar/|xbar|, v/nv).
+    """
+    lam1, lamd, tr, a, b = _rank_two_eig(alpha, nv, nb2)
+    kink = (nv <= COLLINEAR_TOL * np.sqrt(nx2)) | (lam1 <= 0.0) | (lamd >= 0.0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        f = np.where(kink, np.abs(nx2 - nb2), _zeta_interior(lam1, lamd, tr))
+        xc = alpha * math.sqrt(nb2)
+        # the chain rule of population_gradient in these coordinates
+        g1 = 2.0 * _zeta_d1(lam1, lamd) * (a * xc + b * nv)
+        gd = 2.0 * -_zeta_d1(-lamd, -lam1) * (-b * xc + a * nv)
+    return kink, f, g1, gd, a, b
+
+
 def population_value(x, xbar):
     """Population objective E |<a,x>^2 - <a,xbar>^2| via the rank-two spectrum."""
-    spec = rank_two_spectrum(x, xbar)
-    return zeta(max(spec.lambda_max, 0.0), min(spec.lambda_min, 0.0))
+    alpha, _, nv, nx2, nb2 = _split(x, xbar)
+    return float(_population_kernel(alpha, nv, nx2, nb2)[1])
 
 
 def population_gradient(x, xbar):
@@ -230,15 +256,14 @@ def population_gradient(x, xbar):
     gradient is the zero vector; all other collinear points (including
     +-xbar) are kinks and raise NonsmoothPointError.
     """
-    x = np.asarray(x, dtype=np.float64)
-    spec = rank_two_spectrum(x, xbar)
-    if np.linalg.norm(x) == 0.0:
-        return np.zeros(x.shape[0])
-    if spec.collinear:
+    alpha, v, nv, nx2, nb2 = _split(x, xbar)
+    if nx2 == 0.0:
+        return np.zeros(v.shape[0])
+    kink, _, g1, gd, a, b = _population_kernel(alpha, nv, nx2, nb2)
+    if kink:
         raise NonsmoothPointError("population objective is nonsmooth at collinear points")
-    d1, d2 = zeta_grad(spec.lambda_max, spec.lambda_min)
-    return 2.0 * (d1 * float(spec.e_max @ x) * spec.e_max
-                  + d2 * float(spec.e_min @ x) * spec.e_min)
+    u = np.asarray(xbar, dtype=np.float64) / math.sqrt(nb2)
+    return (g1 * a - gd * b) * u + (g1 * b + gd * a) * (v / nv)
 
 
 def omega(c):
@@ -288,18 +313,12 @@ def stationary_set_distance(x, xbar):
     """Distance from x to {0} U {+-xbar} U {x perp xbar : |x| = c |xbar|}."""
     x = np.asarray(x, dtype=np.float64)
     xbar = np.asarray(xbar, dtype=np.float64)
-    nb = float(np.linalg.norm(xbar))
-    if nb == 0.0:
-        raise ValueError("xbar must be nonzero")
-    c = critical_ratio()
-    par = float(x @ xbar) / nb
-    x_perp = x - (par / nb) * xbar
-    n_perp = float(np.linalg.norm(x_perp))
-    ring = math.hypot(par, n_perp - c * nb) if n_perp > 0 else math.hypot(par, c * nb)
-    return min(float(np.linalg.norm(x)),
+    alpha, _, nv, nx2, nb2 = _split(x, xbar)
+    nb = math.sqrt(nb2)
+    return min(math.sqrt(nx2),
                float(np.linalg.norm(x - xbar)),
                float(np.linalg.norm(x + xbar)),
-               ring)
+               math.hypot(alpha * nb, nv - critical_ratio() * nb))
 
 
 def _mc_mean(samples):
@@ -425,34 +444,13 @@ def population_grid(xbar, x1, x2):
     x2 = np.asarray(x2, dtype=np.float64)
 
     alpha = (x1 * xbar[0] + x2 * xbar[1]) / nb2
-    v1 = x1 - alpha * xbar[0]
-    v2 = x2 - alpha * xbar[1]
-    nv = np.hypot(v1, v2)
+    nv = np.hypot(x1 - alpha * xbar[0], x2 - alpha * xbar[1])
     nx = np.hypot(x1, x2)
-    collinear = nv <= COLLINEAR_TOL * nx
-
-    lam1, lamd, tr, a, b = _rank_two_eig(alpha, nv, nb2)
-
-    with np.errstate(invalid="ignore", divide="ignore"):
-        f_interior = _zeta_interior(lam1, lamd, tr)
-        d1 = _zeta_d1(lam1, lamd)
-        d2 = -_zeta_d1(-lamd, -lam1)
-        # Coordinates of x in the (xbar/nb, v/nv) basis are (alpha nb, nv);
-        # the eigenbasis is orthonormal, so the gradient norm is the hypot of
-        # its coefficients.
-        xc = alpha * nb
-        g1 = 2.0 * d1 * (a * xc + b * nv)
-        gd = 2.0 * d2 * (-b * xc + a * nv)
-        g_interior = np.hypot(g1, gd)
-
-    s = nx * nx - nb2
-    f = np.where(collinear, np.abs(s), f_interior)
-    g = np.where(collinear, np.nan, g_interior)
-    g = np.where(nx == 0.0, 0.0, g)
-    # Exact minimizers: 0 is a subgradient there, report distance 0.
-    at_signal = collinear & (np.abs(nx - nb) <= 1e-9 * nb)
-    g = np.where(at_signal, 0.0, g)
-    return f, g
+    kink, f, g1, gd, _, _ = _population_kernel(alpha, nv, nx * nx, nb2)
+    # G is 0 at the origin and at the exact minimizers, where 0 is a
+    # subgradient; elsewhere the hypot of the orthonormal eigenbasis coefficients.
+    zero = (nx == 0.0) | (kink & (np.abs(nx - nb) <= 1e-9 * nb))
+    return f, np.where(zero, 0.0, np.where(kink, np.nan, np.hypot(g1, gd)))
 
 
 def grid_local_minima(values, max_value=math.inf):
@@ -512,16 +510,13 @@ def _deviation_ratio_max(problem, pts, f_emp, f_pop, cell):
         f_loc, _ = population_grid(xbar, locals_[:, 0], locals_[:, 1])
         f_emp_loc = np.concatenate(_in_blocks(value, problem, locals_))
         r = _deviation_ratio(xbar, locals_, f_emp_loc, f_loc)
-        if r.max() > best:
-            best = float(r.max())
+        best = max(best, float(r.max()))
         centers = locals_[np.argsort(r)[-10:]]
         span /= 4.0
     return best
 
 
-def graph_closeness_audit(problem, grid_half_width, grid_n, *,
-                          max_subgrad_norm=math.inf, probe_triples=100,
-                          probe_seed=0, ball_resolution=41):
+def graph_closeness_audit(problem, grid_half_width, grid_n, *, max_subgrad_norm=math.inf):
     """Pair grid-stationary points of f_S with nearby near-critical points of F.
 
     Scans a planar grid of half-width ``grid_half_width`` around the origin,
@@ -560,8 +555,7 @@ def graph_closeness_audit(problem, grid_half_width, grid_n, *,
 
     dhat = _deviation_ratio_max(problem, pts, f_emp, f_pop,
                                 cell=float(axis[1] - axis[0]))
-    rho_hat = weak_convexity_probe(problem, probe_triples, 1.0,
-                                   probe_seed).rho_hat
+    rho_hat = weak_convexity_probe(problem, _PROBE_TRIPLES, 1.0, _PROBE_SEED).rho_hat
     shrink = math.sqrt(4.0 * dhat / (rho_hat + 2.0 * dhat)) if dhat > 0 else 0.0
 
     nb = float(np.linalg.norm(xbar))
@@ -577,7 +571,7 @@ def graph_closeness_audit(problem, grid_half_width, grid_n, *,
         radius = shrink * math.sqrt(np.linalg.norm(x_s - xbar)
                                     * np.linalg.norm(x_s + xbar))
         # At radius 0 every ball node is x_s itself.
-        loc = np.linspace(-radius, radius, ball_resolution)
+        loc = np.linspace(-radius, radius, _BALL_RESOLUTION)
         l1, l2 = np.meshgrid(x_s[0] + loc, x_s[1] + loc, indexing="ij")
         _, gnorm = population_grid(xbar, l1, l2)
         inside = np.hypot(l1 - x_s[0], l2 - x_s[1]) <= radius

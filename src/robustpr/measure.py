@@ -214,11 +214,12 @@ def corruption(noise, n, mask_rng, value_rng):
     mask = mask_rng.random(n) < noise.p_fail
     if not mask.any():
         return np.zeros(n)
+    # a standard variate times the scale, so no scale makes the draw overflow
     if noise.kind == "gaussian":
-        xi = noise.scale * value_rng.standard_normal(n)
+        xi = value_rng.standard_normal(n)
     else:
-        xi = value_rng.uniform(-noise.scale, noise.scale, size=n)
-    return mask * xi
+        xi = value_rng.uniform(-1.0, 1.0, size=n)
+    return mask * (noise.scale * xi)
 
 
 def measure(ensemble, xbar, noise=None):

@@ -84,15 +84,17 @@ def run(problem, x0, cfg):
     One trace record is written per evaluated iterate; ``step_length`` is the
     norm of the attempted step, (f - min_value) / |zeta| (NaN when the
     subgradient vanished).  ``rel_dist`` is min(|x-xbar|, |x+xbar|) / |xbar|
-    and is present only when the problem stores the signal.
+    and is present only when the problem stores the signal.  ``final_x`` is
+    the iterate the last record describes (x0 when there is no record).
     """
     x = np.asarray(x0, dtype=np.float64).copy()
     if x.shape != (problem.d,):
         raise ValueError(f"x0 has shape {x.shape}, expected ({problem.d},)")
     xbar = problem.truth
     nb = np.linalg.norm(xbar) if xbar is not None else 0.0
-    trace = SolveTrace()
+    trace = SolveTrace(final_x=x)
     for k in range(cfg.max_iters):
+        trace.final_x = x
         step = polyak_step(problem, x, cfg.min_value)
         rel = _rel_dist(x, xbar, nb) if xbar is not None and nb > 0 else None
         length = (step.f_value - cfg.min_value) / step.subgrad_norm if step.subgrad_norm > 0 else math.nan
@@ -115,7 +117,6 @@ def run(problem, x0, cfg):
         x = step.next_x
     else:
         trace.status = MAX_ITERS
-    trace.final_x = x
     return trace
 
 

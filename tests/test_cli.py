@@ -106,3 +106,13 @@ def test_non_finite_solve_is_numerical_failure(tmp_path, capsys):
                      "seeds=0", f"out_dir={tmp_path}", "quiet=true"])
     assert code == 3
     assert "non-finite objective or subgradient" in capsys.readouterr().err
+
+
+def test_uniform_noise_at_huge_scale_is_numerical_failure(tmp_path, capsys):
+    # The uniform draw is taken on [-1, 1] and scaled, so a scale near the
+    # float limit overflows only in the objective, as with Gaussian noise.
+    with pytest.warns(RuntimeWarning):
+        code = main(["solve", "d=10", "m=40", "noise_p_fail=0.5", "noise_scale=1e308",
+                     "noise_kind=uniform", "seeds=0", f"out_dir={tmp_path}", "quiet=true"])
+    assert code == 3
+    assert "non-finite objective or subgradient" in capsys.readouterr().err

@@ -233,6 +233,43 @@ def test_population_gradient_flags_nonsmooth_points():
         rp.population_gradient(-xbar, xbar)
 
 
+def test_population_functions_match_the_rank_two_spectrum_path():
+    # Oracle: zeta and zeta_grad at the eigenpairs of rank_two_spectrum, with
+    # the gradient projected on e_max and e_min.
+    rng = np.random.default_rng(11)
+    for d in range(2, 8):
+        for _ in range(20):
+            xbar = rng.standard_normal(d)
+            x = rng.standard_normal(d) * rng.uniform(0.1, 2.0)
+            spec = rp.rank_two_spectrum(x, xbar)
+            assert rp.population_value(x, xbar) == pytest.approx(
+                rp.zeta(spec.lambda_max, spec.lambda_min), rel=1e-13)
+            d1, d2 = rp.zeta_grad(spec.lambda_max, spec.lambda_min)
+            oracle = 2.0 * (d1 * (spec.e_max @ x) * spec.e_max
+                            + d2 * (spec.e_min @ x) * spec.e_min)
+            np.testing.assert_allclose(rp.population_gradient(x, xbar), oracle,
+                                       rtol=1e-12, atol=1e-13 * np.linalg.norm(oracle))
+
+
+def test_nearly_collinear_points_agree_on_grid_and_pointwise():
+    # Off the collinear line by 3e-10 to 1e-8 of |x|, an eigenvalue of the
+    # restriction rounds to 0 or past it: F is | |x|^2 - |xbar|^2 | there, and
+    # the grid reports NaN exactly where the pointwise gradient raises.
+    xbar = np.array([1.0, 0.0])
+    for t in (0.5, 2.0, -1.5):
+        for rel in (3e-10, 1e-9, 3e-9, 1e-8):
+            x = np.array([t, rel * abs(t)])
+            f_grid, g_grid = rp.population_grid(xbar, x[0], x[1])
+            assert f_grid == rp.population_value(x, xbar)
+            assert f_grid == pytest.approx(abs(t * t - 1.0), rel=1e-14)
+            try:
+                g = np.linalg.norm(rp.population_gradient(x, xbar))
+            except rp.NonsmoothPointError:
+                assert np.isnan(g_grid)
+            else:
+                assert g_grid == pytest.approx(g, rel=1e-12)
+
+
 def test_ring_is_the_only_radial_stationary_point_in_the_orthogonal_space():
     xbar = np.array([2.0, 0.0, 0.0])
     u = np.array([0.0, 1.0, 0.0])

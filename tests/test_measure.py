@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg import hadamard as dense_hadamard
 
 import robustpr as rp
+from robustpr.measure import corruption
 
 SQ2 = math.sqrt(2.0)
 
@@ -176,6 +177,21 @@ def test_measure_noise_is_seeded_and_sparse():
     clean = rp.measure(ens, xbar)
     frac = np.mean(p1.b != clean.b)
     assert 0.1 < frac < 0.4
+
+
+@pytest.mark.parametrize("kind, big", [("gaussian", 1e300), ("uniform", 1e308)])
+def test_corruption_scales_a_standard_draw(kind, big):
+    # A scale near the float limit must not overflow inside the draw itself.
+    def draw(scale):
+        noise = rp.NoiseModel(p_fail=0.5, scale=scale, seed=0, kind=kind)
+        return corruption(noise, 500, np.random.default_rng(1), np.random.default_rng(2))
+
+    unit, huge = draw(1.0), draw(big)
+    assert np.isfinite(huge).all()
+    assert 100 < np.count_nonzero(unit) < 400
+    np.testing.assert_array_equal(huge, big * unit)
+    if kind == "uniform":
+        assert np.abs(unit).max() <= 1.0
 
 
 def test_measure_dimension_mismatch():

@@ -74,6 +74,18 @@ def test_run_max_iters_zero_returns_start():
     np.testing.assert_array_equal(trace.final_x, x0)
 
 
+def test_capped_run_returns_the_iterate_its_last_record_describes():
+    p = seeded_problem(15, 33, seed=0)
+    trace = rp.run(p, np.ones(15), rp.SolverConfig(max_iters=5))
+    assert trace.status == rp.MAX_ITERS
+    last = trace.records[-1]
+    assert rp.value(p, trace.final_x) == last.f_value
+    nb = np.linalg.norm(p.truth)
+    rel = min(np.linalg.norm(trace.final_x - p.truth),
+              np.linalg.norm(trace.final_x + p.truth)) / nb
+    assert rel == last.rel_dist
+
+
 def test_run_converges_from_spectral_init():
     p = seeded_problem(100, 300, seed=0)
     report = rp.spectral_init(p, rp.PowerConfig(seed=0))
