@@ -217,7 +217,8 @@ def _init_and_solve(problem, cfg, seed):
     """Timed spectral init plus Polyak run; non-finite values raise NumericalError.
 
     Returns the init report, the trace, and the summary entries every command
-    reports: stop status, iterations, init convergence and wall time.
+    reports: stop status, iterations, init convergence, the matvecs (forward
+    or adjoint products) of each stage, and wall time.
     """
     t0 = time.perf_counter()
     report = spectral.spectral_init(problem, spectral.PowerConfig(seed=seed))
@@ -228,12 +229,18 @@ def _init_and_solve(problem, cfg, seed):
     if trace.status == solver.NON_FINITE:
         raise NumericalError("non-finite objective or subgradient in the solve")
     ensure_finite("final iterate", trace.final_x)
+    # A Lanczos application and a Polyak step each take one forward and one
+    # adjoint product.  init_iters leaves out the first application; the zero
+    # start (r_hat = 0) applies nothing.
+    applications = 0 if report.r_hat == 0.0 else report.power_iters + 1
     entries = {
         "status": trace.status,
         "iterations": trace.iterations,
         "init_converged": report.converged,
         "init_iters": report.power_iters,
         "init_residual": _json_scalar(report.residual),
+        "init_matvecs": 2 * applications,
+        "solve_matvecs": 2 * trace.iterations,
         "wall_time_s": wall,
     }
     return report, trace, entries
@@ -298,11 +305,12 @@ def run_landscape_grid(xbar, half_width, grid_n, out_path):
     axis = np.linspace(-half_width, half_width, grid_n)
     g1, g2 = np.meshgrid(axis, axis, indexing="ij")
     f, g = landscape.population_grid(xbar, g1, g2)
+    # repr of a Python float is _fmt's text; one string per grid row bounds memory
+    coords = [repr(v) for v in axis.tolist()]
     lines = ["x1,x2,f_pop,grad_norm"]
-    for i in range(grid_n):
-        for j in range(grid_n):
-            lines.append(",".join([_fmt(axis[i]), _fmt(axis[j]),
-                                   _fmt(f[i, j]), _fmt(g[i, j])]))
+    for x1, f_row, g_row in zip(coords, f, g):
+        lines.append("\n".join(f"{x1},{x2},{fv!r},{gv!r}" for x2, fv, gv
+                               in zip(coords, f_row.tolist(), g_row.tolist())))
     netpbm.atomic_write_bytes(out_path, ("\n".join(lines) + "\n").encode("utf-8"))
     return axis, f, g
 
@@ -384,7 +392,7 @@ def run_image_command(cfg):
         x = -x
     nb = np.linalg.norm(xbar)
     if nb > 0:
-        rel = min(np.linalg.norm(x - xbar), np.linalg.norm(x + xbar)) / nb
+        rel = solver._rel_dist(x, xbar, nb)
     else:
         rel = 0.0 if np.linalg.norm(x) == 0 else math.inf
     recovered = buf.from_vector(x)

@@ -65,8 +65,9 @@ class RankTwoSpectrum:
     """Extreme eigenpairs of x x^T - xbar xbar^T.
 
     Eigenvectors are present only for nonzero eigenvalues.  ``collinear``
-    marks x parallel to xbar (at most one nonzero eigenvalue); ``degenerate``
-    marks x in {+-xbar}, where the matrix vanishes.
+    marks x parallel to xbar, or so nearly that an eigenvalue rounds to 0
+    (at most one nonzero eigenvalue): the kinks of the population objective.
+    ``degenerate`` marks x in {+-xbar}, where the matrix vanishes.
     """
 
     lambda_max: float
@@ -141,6 +142,11 @@ def _rank_two_eig(alpha, nv, nb2):
     return lam1, lamd, tr, a, b
 
 
+def _kink(nv, nx2, lam1, lamd):
+    """x collinear with xbar, or so nearly that an eigenvalue rounds to 0 or past it."""
+    return (nv <= COLLINEAR_TOL * np.sqrt(nx2)) | (lam1 <= 0.0) | (lamd >= 0.0)
+
+
 def _split(x, xbar):
     """x = alpha xbar + v with v perp xbar, for one point: (alpha, v, |v|, |x|^2, |xbar|^2)."""
     x = np.asarray(x, dtype=np.float64)
@@ -174,8 +180,10 @@ def rank_two_spectrum(x, xbar):
 
     lam1, lamd, _, a, b = _rank_two_eig(alpha, nv, nb2)
     w = v / nv
-    return RankTwoSpectrum(float(lam1), float(lamd), a * u + b * w, -b * u + a * w,
-                           collinear=False, degenerate=False)
+    return RankTwoSpectrum(float(lam1), float(lamd),
+                           a * u + b * w if lam1 > 0.0 else None,
+                           -b * u + a * w if lamd < 0.0 else None,
+                           collinear=bool(_kink(nv, nx2, lam1, lamd)), degenerate=False)
 
 
 def _zeta_interior(y1, y2, t):
@@ -222,14 +230,13 @@ def zeta_grad(y1, y2):
 def _population_kernel(alpha, nv, nx2, nb2):
     """F and its gradient at x = alpha xbar + v (v perp xbar, nv = |v|), elementwise.
 
-    Returns (kink, F, g1, gd, a, b).  ``kink`` marks x collinear with xbar, or
-    so nearly that an eigenvalue of the restriction rounds to 0 or past it:
-    there F = | |x|^2 - |xbar|^2 | and no gradient exists.  Elsewhere grad F =
+    Returns (kink, F, g1, gd, a, b).  At a ``_kink`` point F =
+    | |x|^2 - |xbar|^2 | and no gradient exists.  Elsewhere grad F =
     g1 e_max + gd e_min, where x = (xc, nv), e_max = (a, b) and e_min = (-b, a)
     in the orthonormal basis (xbar/|xbar|, v/nv).
     """
     lam1, lamd, tr, a, b = _rank_two_eig(alpha, nv, nb2)
-    kink = (nv <= COLLINEAR_TOL * np.sqrt(nx2)) | (lam1 <= 0.0) | (lamd >= 0.0)
+    kink = _kink(nv, nx2, lam1, lamd)
     with np.errstate(invalid="ignore", divide="ignore"):
         f = np.where(kink, np.abs(nx2 - nb2), _zeta_interior(lam1, lamd, tr))
         xc = alpha * math.sqrt(nb2)

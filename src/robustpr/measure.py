@@ -6,7 +6,8 @@ Two ensemble kinds are supported:
 * Hadamard-sign sketch: k blocks H S_j, where H is the symmetric normalized
   (1/sqrt(l)-scaled Sylvester) Hadamard matrix and S_j are random +-1
   diagonals.  The sketch is never materialized; forward and adjoint products
-  run through the fast Walsh-Hadamard transform in O(l log l).
+  run through a blocked fast Walsh-Hadamard transform: log_64(l) passes of
+  small dense matmuls with the Sylvester H_64, O(64 l log_64 l) flops.
 
 All randomness flows through counter-based Philox generators keyed by
 ``SeedSequence([seed, tag])``, so every constructor and sampler is a pure
@@ -16,6 +17,7 @@ backing arrays are marked read-only) and safe to share across threads.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -149,18 +151,35 @@ def hadamard_ensemble(l, k, seed):
     )
 
 
+# Radix of the blocked transform and the unnormalized Sylvester H_64, the
+# Kronecker power of [[1, 1], [1, -1]].  Its leading r x r block is H_r for
+# every power of two r <= 64, so one matrix serves every pass.
+_RADIX = 64
+_H_RADIX = functools.reduce(np.kron, [np.array([[1.0, 1.0], [1.0, -1.0]])] * 6)
+_H_RADIX.setflags(write=False)
+
+
 def _fwht_last_axis(a):
-    """Normalized Walsh-Hadamard transform along the last axis (batched butterfly)."""
+    """Normalized Walsh-Hadamard transform along the last axis, in blocked passes.
+
+    H_l is a Kronecker product of Sylvester factors of at most 64 rows.  A
+    pass views the axis as (l / (r s), r, s) and applies H_r to its middle
+    axis as one matmul; s grows by r per pass, with r = 64 while l / s >= 64
+    and then one remainder pass with r = l / s.
+    """
     l = a.shape[-1]
     lead = a.shape[:-1]
-    out = np.array(a, dtype=np.float64)
-    h = 1
-    while h < l:
-        out = out.reshape(lead + (l // (2 * h), 2, h))
-        top = out[..., 0, :] + out[..., 1, :]
-        bot = out[..., 0, :] - out[..., 1, :]
-        out = np.stack((top, bot), axis=-2)
-        h *= 2
+    out = np.asarray(a, dtype=np.float64)
+    s = 1
+    while s < l:
+        r = min(_RADIX, l // s)
+        h = _H_RADIX[:r, :r]
+        if s == 1:
+            # H is symmetric, so the first pass is one gemm over all rows.
+            out = out.reshape(-1, r) @ h
+        else:
+            out = np.matmul(h, out.reshape(-1, r, s))
+        s *= r
     return out.reshape(lead + (l,)) / math.sqrt(l)
 
 

@@ -236,6 +236,41 @@ def test_run_solve_experiment_zero_iteration_budget(tmp_path):
     assert summary[0]["iterations"] == 0
 
 
+def _count_products(monkeypatch):
+    """Count the forward and adjoint products of the init and of the solve."""
+    from robustpr import objective, spectral
+    counts = {"init": 0, "solve": 0}
+    for stage, module in (("init", spectral), ("solve", objective)):
+        for name in ("apply", "apply_adjoint"):
+            def counted(ens, v, _real=getattr(module, name), _stage=stage):
+                counts[_stage] += 1
+                return _real(ens, v)
+            monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("max_iters, status", [(300, "converged"), (5, "max_iters")])
+def test_summary_counts_the_matvecs_of_each_stage(tmp_path, monkeypatch, max_iters, status):
+    counts = _count_products(monkeypatch)
+    summary = harness.run_solve_experiment(
+        solve_cfg(tmp_path, seeds=[0], max_iters=max_iters))[0]
+    assert summary["status"] == status
+    assert summary["init_matvecs"] == counts["init"] == 2 * (summary["init_iters"] + 1)
+    assert summary["solve_matvecs"] == counts["solve"] == 2 * summary["iterations"]
+    saved = json.loads((tmp_path / "summary.json").read_text())[0]
+    assert (saved["init_matvecs"], saved["solve_matvecs"]) == (counts["init"], counts["solve"])
+
+
+def test_zero_signal_init_counts_no_matvecs(tmp_path, monkeypatch):
+    # b = 0 sends spectral_init down its zero start, which applies nothing.
+    counts = _count_products(monkeypatch)
+    src = tmp_path / "black.pgm"
+    netpbm.write_image(src, np.zeros((8, 8), dtype=np.uint8))
+    summary = harness.run_image_pipeline(str(src), str(tmp_path / "rec.pgm"), k=2, seed=0)
+    assert summary["init_matvecs"] == counts["init"] == 0
+    assert summary["solve_matvecs"] == counts["solve"] == 2 * summary["iterations"] == 2
+
+
 def test_run_solve_experiment_noise_setting(tmp_path):
     cfg = solve_cfg(tmp_path, seeds=[0], noise_p_fail=0.2, noise_scale=5.0,
                     max_iters=40, tol_dist=None)
@@ -302,6 +337,22 @@ def test_run_landscape_grid_nan_sentinel(tmp_path):
             assert gn != "nan"
 
 
+@pytest.mark.parametrize("xbar, nan_cells", [
+    ((1.0, 1.0), True), ((1.41, 0.0), True), ((0.3, -1.7), False), ((1.0, 0.0), True)])
+def test_run_landscape_grid_writes_the_bytes_of_the_per_cell_loop(tmp_path, xbar, nan_cells):
+    out = tmp_path / "g.csv"
+    axis, f, g = harness.run_landscape_grid(np.array(xbar), 2.0, 41, str(out))
+    # the xbar line crosses grid cells other than the origin only for the first kind
+    assert np.isnan(g).any() == nan_cells
+    # Oracle: four _fmt calls per cell.
+    lines = ["x1,x2,f_pop,grad_norm"]
+    for i in range(axis.shape[0]):
+        for j in range(axis.shape[0]):
+            lines.append(",".join([harness._fmt(axis[i]), harness._fmt(axis[j]),
+                                   harness._fmt(f[i, j]), harness._fmt(g[i, j])]))
+    assert out.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+
+
 def test_run_landscape_grid_rejects_tiny_grid(tmp_path):
     with pytest.raises(harness.ConfigError):
         harness.run_landscape_grid(np.array([1.0, 1.0]), 1.0, 1, str(tmp_path / "g.csv"))
@@ -332,6 +383,19 @@ def test_image_pipeline_all_black_image(tmp_path):
     assert summary["iterations"] == 1
     assert summary["rel_dist"] == 0.0
     np.testing.assert_array_equal(netpbm.read_image(out), np.zeros((8, 8), np.uint8))
+
+
+def test_capped_image_run_reports_the_relative_distance_of_its_last_iterate(tmp_path):
+    # The 64x64 image of demos/image_recovery.py, stopped after 20 Polyak steps.
+    yy, xx = np.mgrid[0:64, 0:64]
+    img = (255 * np.hypot(xx - 32, yy - 32) / 45.0).clip(0, 255)
+    img[12:24, 40:56] = 240
+    src = tmp_path / "in.pgm"
+    netpbm.write_image(src, img.astype(np.uint8))
+    summary = harness.run_image_pipeline(str(src), str(tmp_path / "out.pgm"),
+                                         k=3, seed=7, max_iters=20)
+    assert summary["status"] == "max_iters" and summary["iterations"] == 20
+    assert summary["rel_dist"] == pytest.approx(9.58e-3, abs=5e-6)
 
 
 def test_image_pipeline_pads_non_power_of_two(tmp_path):

@@ -270,6 +270,31 @@ def test_nearly_collinear_points_agree_on_grid_and_pointwise():
                 assert g_grid == pytest.approx(g, rel=1e-12)
 
 
+def test_rank_two_spectrum_flags_the_kinks_of_the_population_kernel():
+    # 6e-10 of |x| off the xbar line, lambda_min rounds to exactly 0: a kink,
+    # so the spectrum is collinear and the zero eigenvalue has no eigenvector.
+    xbar = np.array([1.0, 0.0])
+    spec = rp.rank_two_spectrum(np.array([2.0, 6e-10]), xbar)
+    assert spec.collinear and not spec.degenerate
+    assert spec.lambda_min == 0.0 and spec.e_min is None
+    assert spec.lambda_max == pytest.approx(3.0, rel=1e-15)
+    np.testing.assert_allclose(spec.e_max, [1.0, 4e-10], rtol=1e-6)
+    # Across the band the flag is exactly the pointwise gradient's kink test.
+    for t in (0.5, 2.0, -1.5):
+        for rel in (1e-11, 3e-10, 1e-9, 3e-9, 1e-8, 1e-6):
+            x = np.array([t, rel * abs(t)])
+            spec = rp.rank_two_spectrum(x, xbar)
+            try:
+                rp.population_gradient(x, xbar)
+            except rp.NonsmoothPointError:
+                kink = True
+            else:
+                kink = False
+            assert spec.collinear == kink
+            assert (spec.e_max is None) == (spec.lambda_max == 0.0)
+            assert (spec.e_min is None) == (spec.lambda_min == 0.0)
+
+
 def test_ring_is_the_only_radial_stationary_point_in_the_orthogonal_space():
     xbar = np.array([2.0, 0.0, 0.0])
     u = np.array([0.0, 1.0, 0.0])

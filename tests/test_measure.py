@@ -73,6 +73,29 @@ def test_fwht_matches_dense_sylvester_matrix():
         np.testing.assert_allclose(rp.fwht(v), h @ v, atol=1e-12)
 
 
+def _dense_transform(v):
+    # H_l / sqrt(l) @ v from scipy's Sylvester matrix, in int8 and row chunks to bound memory
+    l = v.shape[0]
+    h = dense_hadamard(l, dtype=np.int8)
+    return np.concatenate([h[i:i + 512] @ v for i in range(0, l, 512)]) / math.sqrt(l)
+
+
+@pytest.mark.parametrize("l", [64, 128, 4096, 8192])
+def test_fwht_across_the_radix_matches_dense_sylvester_matrix(l):
+    # 64 and 4096 are one and two full radix-64 passes; 128 and 8192 add a remainder pass.
+    rng = np.random.default_rng(l)
+    v = rng.standard_normal(l)
+    np.testing.assert_allclose(rp.fwht(v), _dense_transform(v), atol=1e-12)
+    # An (N, k, l) block, as the sketch products pass it, is transformed row by row.
+    ens = rp.hadamard_ensemble(l, 3, seed=l)
+    xs = rng.standard_normal((4, l))
+    block = rp.apply(ens, xs).reshape(4, 3, l)
+    for n in range(4):
+        for j in range(3):
+            np.testing.assert_allclose(block[n, j], rp.fwht(ens.sign_diagonals[j] * xs[n]),
+                                       atol=1e-12)
+
+
 def test_fwht_involution_and_isometry():
     for p in range(0, 15):
         l = 2**p
@@ -133,7 +156,7 @@ def test_adjoint_identity_many_triples(make):
         assert abs(lhs - rhs) <= 1e-10 * (1.0 + abs(lhs))
 
 
-@pytest.mark.parametrize("l,k", [(2, 1), (8, 2), (64, 3)])
+@pytest.mark.parametrize("l,k", [(2, 1), (8, 2), (64, 3), (128, 3)])
 def test_hadamard_matrix_free_matches_densified(l, k):
     ens = rp.hadamard_ensemble(l, k, seed=11)
     rows = rp.densify(ens)
