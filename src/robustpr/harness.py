@@ -429,15 +429,7 @@ def run_image_pipeline(input_path, output_path, k, seed, summary_path=None,
 # ---------------------------------------------------------------------------
 
 def certificate_as_dict(cert, **extra):
-    out = {
-        "block1_score": _json_scalar(cert.block1_score),
-        "block2_ratio_score": _json_scalar(cert.block2_ratio_score),
-        "block2_angle_score": _json_scalar(cert.block2_angle_score),
-        "scale": _json_scalar(cert.scale),
-        "verdict": cert.verdict,
-    }
-    out.update(extra)
-    return out
+    return {name: _json_scalar(value) for name, value in vars(cert).items()} | extra
 
 
 def certify_points(points, xbar, m, threshold=10.0):

@@ -278,19 +278,21 @@ def omega(c):
     return c / (1.0 + c * c) + math.atan(c)
 
 
-def _bisect_omega(target, lo=0.0, hi=2.0, tol=1e-12):
-    # omega is strictly increasing on [0, inf); plain bisection is
-    # unconditionally convergent and reproducible.
-    flo = omega(lo) - target
-    if flo > 0.0:
-        raise ValueError("bisection bracket does not contain the root")
-    while hi - lo > tol:
+def _bisect_omega(target, hi=2.0):
+    # omega is strictly increasing on [0, inf) with omega(0) = 0 < target, so
+    # plain bisection from 0 is unconditionally convergent and reproducible.
+    lo = 0.0
+    while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
         if omega(mid) - target <= 0.0:
             lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+# The ring radius c, solved once.
+_C = _bisect_omega(math.pi / 4.0, hi=1.0)
 
 
 def critical_ratio():
@@ -300,7 +302,7 @@ def critical_ratio():
     x perp xbar with |x| = c |xbar| are exactly the stationary points of the
     population objective outside {0, +-xbar}.
     """
-    return _bisect_omega(math.pi / 4.0, lo=0.0, hi=1.0)
+    return _C
 
 
 def ratio_band(eps):
@@ -316,16 +318,23 @@ def ratio_band(eps):
     return c1, c2
 
 
-def stationary_set_distance(x, xbar):
-    """Distance from x to {0} U {+-xbar} U {x perp xbar : |x| = c |xbar|}."""
+def _stationary_geometry(x, xbar):
+    """alpha, |xbar|, and the distances from x to 0, xbar, -xbar and the ring.
+
+    alpha is x's coefficient along xbar.  The signal distances are taken from
+    x -+ xbar directly: forming them from the split loses accuracy next to +-xbar.
+    """
+    alpha, _, nv, nx2, nb2 = _split(x, xbar)
     x = np.asarray(x, dtype=np.float64)
     xbar = np.asarray(xbar, dtype=np.float64)
-    alpha, _, nv, nx2, nb2 = _split(x, xbar)
     nb = math.sqrt(nb2)
-    return min(math.sqrt(nx2),
-               float(np.linalg.norm(x - xbar)),
-               float(np.linalg.norm(x + xbar)),
-               math.hypot(alpha * nb, nv - critical_ratio() * nb))
+    return (alpha, nb, math.sqrt(nx2), float(np.linalg.norm(x - xbar)),
+            float(np.linalg.norm(x + xbar)), math.hypot(alpha * nb, nv - _C * nb))
+
+
+def stationary_set_distance(x, xbar):
+    """Distance from x to {0} U {+-xbar} U {x perp xbar : |x| = c |xbar|}."""
+    return min(_stationary_geometry(x, xbar)[2:])
 
 
 def _mc_mean(samples):
@@ -395,26 +404,20 @@ def certify_stationary(x, xbar, d, m, threshold=10.0):
     """
     if m < 1:
         raise ValueError("m must be positive")
-    x = np.asarray(x, dtype=np.float64)
-    xbar = np.asarray(xbar, dtype=np.float64)
-    nb = float(np.linalg.norm(xbar))
-    if nb == 0.0:
-        raise ValueError("xbar must be nonzero")
     scale = (d / m) ** 0.25
-    with np.errstate(over="ignore"):
-        # overflow for absurd candidates surfaces as inf scores; callers that
-        # serialize certificates treat that as a numerical failure
-        nx = float(np.linalg.norm(x))
-        dminus = float(np.linalg.norm(x - xbar))
-        dplus = float(np.linalg.norm(x + xbar))
-        block1 = nx * dminus * dplus / nb**3
-        if nx == 0.0:
-            return LandscapeCertificate(block1_score=block1, block2_ratio_score=math.inf,
-                                        block2_angle_score=math.inf, scale=scale,
-                                        verdict=NEAR_ZERO)
-        c = critical_ratio()
-        ratio = abs(nx / nb - c) / (1.0 + nb / nx)
-        angle = (abs(float(x @ xbar)) / (nx * nb)) * (nx / nb)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # overflow for absurd candidates surfaces as inf or NaN scores (inf
+        # alpha times a zero entry of xbar); callers that serialize
+        # certificates treat that as a numerical failure
+        alpha, nb, nx, dminus, dplus, _ = _stationary_geometry(x, xbar)
+    # scale each factor by |xbar| on its own: |xbar|^3 can leave the float range
+    block1 = (nx / nb) * (dminus / nb) * (dplus / nb)
+    if nx == 0.0:
+        return LandscapeCertificate(block1_score=block1, block2_ratio_score=math.inf,
+                                    block2_angle_score=math.inf, scale=scale,
+                                    verdict=NEAR_ZERO)
+    ratio = abs(nx / nb - _C) / (1.0 + nb / nx)
+    angle = abs(alpha)
     n1 = block1 / scale
     n2 = max(ratio, angle) / scale
     if min(n1, n2) > threshold:
@@ -567,9 +570,8 @@ def graph_closeness_audit(problem, grid_half_width, grid_n, *, max_subgrad_norm=
 
     nb = float(np.linalg.norm(xbar))
     perp = np.array([-xbar[1], xbar[0]]) / nb
-    c = critical_ratio()
     exact_stationary = [np.zeros(2), np.array(xbar), -np.array(xbar),
-                        c * nb * perp, -c * nb * perp]
+                        _C * nb * perp, -_C * nb * perp]
 
     pairs = []
     for i, j in grid_local_minima(sub_norm.reshape(grid_n, grid_n),

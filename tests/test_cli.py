@@ -116,3 +116,73 @@ def test_uniform_noise_at_huge_scale_is_numerical_failure(tmp_path, capsys):
                      "noise_kind=uniform", "seeds=0", f"out_dir={tmp_path}", "quiet=true"])
     assert code == 3
     assert "non-finite objective or subgradient" in capsys.readouterr().err
+
+
+def _certify_files(tmp_path, candidate, truth):
+    cand = tmp_path / "cand.json"
+    cand.write_text(json.dumps([candidate]))
+    signal = tmp_path / "truth.json"
+    signal.write_text(json.dumps(truth))
+    return [f"candidates={cand}", f"truth={signal}", "m=10"]
+
+
+def test_certify_a_huge_signal_at_itself_is_near_signal(tmp_path):
+    # |xbar|^3 overflows here; the scores must not form it.
+    out = tmp_path / "c.json"
+    args = _certify_files(tmp_path, [1e120, 1e120], [1e120, 1e120])
+    assert main(["certify", *args, f"out={out}", "quiet=true"]) == 0
+    (cert,) = json.loads(out.read_text())
+    assert cert["verdict"] == "near_signal" and cert["block1_score"] == 0.0
+
+
+def test_certify_a_tiny_signal_overflows_as_a_numerical_failure(tmp_path, capsys):
+    # |xbar|^3 underflows to 0 here; block1 overflows and is reported, not raised.
+    args = _certify_files(tmp_path, [1.0, 1.0], [1e-120, 1e-120])
+    assert main(["certify", *args, f"out={tmp_path/'c.json'}", "quiet=true"]) == 3
+    assert "non-finite certificate scores for candidate 0" in capsys.readouterr().err
+
+
+def test_certify_harvest_skips_converged_seeds(tmp_path):
+    out = tmp_path / "c.json"
+    assert main(["certify", "d=10", "m=80", "seeds=0,1,2", "max_iters=2000",
+                 f"out={out}", "quiet=true"]) == 0
+    assert json.loads(out.read_text()) == []
+
+
+@pytest.mark.parametrize("word", ["false", "no", "0"])
+def test_quiet_false_words_print(tmp_path, capsys, word):
+    assert main(["probe", "probe=sharpness", "d=8", "m=40", "samples=10",
+                 f"quiet={word}"]) == 0
+    assert '"kappa_hat"' in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("args,message", [
+    (["probe", "probe=sharpness", "d=8", "m=40", "quiet=maybe"], "not a boolean: 'maybe'"),
+    (["solve", "d=8", "m=40", "kind=foo"], "unknown ensemble kind 'foo'"),
+    (["solve", "d=8", "m=40", "seeds="], "solve requires at least one seed"),
+    (["landscape", "xbar=1,2,3", "out=g.csv"], "expected two comma-separated numbers"),
+])
+def test_bad_settings_are_usage_errors(tmp_path, capsys, monkeypatch, args, message):
+    monkeypatch.chdir(tmp_path)
+    assert main(args) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_each_command_prints_its_line(tmp_path, capsys):
+    def printed(*args):
+        assert main([*args, "quiet=false"]) == 0
+        return capsys.readouterr().out
+
+    out = printed("solve", "d=10", "m=40", "seeds=3", "max_iters=5", f"out_dir={tmp_path}")
+    assert out.startswith("seed 3: status=max_iters iters=5 final_rel_dist=")
+    out = printed("landscape", "xbar=1,0", "grid_n=5", f"out={tmp_path/'g.csv'}")
+    assert out.startswith(f"landscape grid 5x5 -> {tmp_path/'g.csv'} (min grad_norm ")
+    out = printed("certify", "d=15", "m=33", "seeds=0", "max_iters=5")
+    assert out.startswith("candidate 0: verdict=")
+    out = printed("probe", "probe=concentration", "d=8", "m=40", "samples=5")
+    assert json.loads(out)["probe"] == "concentration"
+    src = tmp_path / "in.pgm"
+    netpbm.write_image(src, np.linspace(0, 255, 64, dtype=np.uint8).reshape(8, 8))
+    out = printed("image", f"input={src}", f"output={tmp_path/'o.pgm'}", "k=3", "seed=2")
+    assert out.startswith(f"image {src}: status=")
+    assert out.rstrip().endswith("exact=1.0000")

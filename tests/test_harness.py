@@ -398,6 +398,33 @@ def test_capped_image_run_reports_the_relative_distance_of_its_last_iterate(tmp_
     assert summary["rel_dist"] == pytest.approx(9.58e-3, abs=5e-6)
 
 
+def test_image_pipeline_flips_a_solve_that_ends_at_minus_the_signal(tmp_path, monkeypatch):
+    # A negated start leads the solve to -xbar; the sign rule must undo it.
+    from robustpr import solver, spectral
+    real_init, real_run = spectral.spectral_init, solver.run
+    alignments = []
+
+    def negated_init(problem, cfg):
+        report = real_init(problem, cfg)
+        return dataclasses.replace(report, x0=-report.x0)
+
+    def recording_run(problem, x0, cfg):
+        trace = real_run(problem, x0, cfg)
+        alignments.append(float(trace.final_x @ problem.truth))
+        return trace
+
+    monkeypatch.setattr(spectral, "spectral_init", negated_init)
+    monkeypatch.setattr(solver, "run", recording_run)
+    yy, xx = np.mgrid[0:16, 0:16]
+    img = (255 * np.hypot(xx - 8, yy - 8) / 12.0).clip(0, 255).astype(np.uint8)
+    src, out = tmp_path / "in.pgm", tmp_path / "out.pgm"
+    netpbm.write_image(src, img)
+    summary = harness.run_image_pipeline(str(src), str(out), k=3, seed=1)
+    assert len(alignments) == 1 and alignments[0] < 0.0
+    assert summary["exact_pixel_fraction"] == 1.0
+    np.testing.assert_array_equal(netpbm.read_image(out), img)
+
+
 def test_image_pipeline_pads_non_power_of_two(tmp_path):
     img = gradient_image(12, 7)  # 84 samples -> padded to 128
     src = tmp_path / "np2.pgm"
@@ -485,6 +512,13 @@ def test_run_certify_harvests_capped_runs(tmp_path):
 def test_certify_points_rejects_non_finite_scores():
     with pytest.raises(harness.NumericalError):
         harness.certify_points([[1e308, 1e308]], [1.0, 1.0], 10)
+
+
+def test_certify_points_rejects_an_overflowing_candidate_against_an_axis_signal():
+    # <x, xbar> overflows, and the split multiplies the infinite coefficient
+    # by xbar's zero entry; that must end as a numerical failure, not a warning.
+    with pytest.raises(harness.NumericalError):
+        harness.certify_points([[1e308, 1e308]], [2.0, 0.0], 10)
 
 
 # ---------------------------------------------------------------------------

@@ -508,6 +508,13 @@ def test_certify_far_collinear_point_is_unexplained_at_strict_threshold():
     assert cert.verdict == rp.UNEXPLAINED
 
 
+def test_certify_rejects_a_zero_signal_and_no_measurements():
+    with pytest.raises(ValueError, match="xbar must be nonzero"):
+        rp.certify_stationary(np.ones(2), np.zeros(2), 2, 50)
+    with pytest.raises(ValueError, match="m must be positive"):
+        rp.certify_stationary(np.ones(2), np.ones(2), 2, 0)
+
+
 def test_certify_scale_decreases_with_m():
     xbar = np.array([1.0, 1.0])
     scales = [rp.certify_stationary(xbar, xbar, 2, m).scale for m in (2, 20, 200)]
