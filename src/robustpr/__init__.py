@@ -1,7 +1,8 @@
 """Robust (l1) real phase retrieval: solver and landscape toolkit.
 
 Recovers a signal xbar (up to global sign) from magnitude-squared linear
-measurements b_i = <a_i, xbar>^2 by the Polyak subgradient method on
+measurements b_i = <a_i, xbar>^2 by the subgradient method (Polyak steps,
+or geometrically decaying ones when the minimal value is unknown) on
 
     f(x) = (1/m) sum_i |<a_i, x>^2 - b_i|
 
@@ -41,6 +42,7 @@ from .solver import (
     CONVERGED,
     MAX_ITERS,
     NON_FINITE,
+    STEP_VANISHED,
     ZERO_SUBGRADIENT,
     PolyakStep,
     SolveTrace,

@@ -86,7 +86,8 @@ class ExperimentConfig:
     k: int | None = _setting(None, int, _SOLVER)
     seed: int = _setting(0, int, ("image", "probe"))
     seeds: list = _setting([0], _parse_int_list, _PROBLEM)
-    min_value: float = _setting(0.0, float, _SOLVER)
+    # None: 0 for noiseless data, no oracle (the geometric step) for corrupted data
+    min_value: float | None = _setting(None, _parse_opt_float, _SOLVER)
     max_iters: int = _setting(2000, int, _SOLVER)
     tol_value: float = _setting(0.0, float, _SOLVER)
     tol_dist: float | None = _setting(1e-10, _parse_opt_float, _SOLVER)
@@ -214,26 +215,33 @@ def _seeded_problem(cfg, seed):
 
 
 def _init_and_solve(problem, cfg, seed):
-    """Timed spectral init plus Polyak run; non-finite values raise NumericalError.
+    """Timed spectral init plus solver run; non-finite values raise NumericalError.
 
-    Returns the init report, the trace, and the summary entries every command
-    reports: stop status, iterations, init convergence, the matvecs (forward
-    or adjoint products) of each stage, and wall time.
+    A given ``min_value`` selects the Polyak step; without one, noiseless
+    data takes the Polyak step to 0 and corrupted data, whose minimum is
+    unknown, the geometric step.  Returns the init report, the trace, and the
+    summary entries every command reports: step rule, stop status,
+    iterations, init convergence, the matvecs (forward or adjoint products) of
+    each stage, and wall time.
     """
+    min_value = cfg.min_value
+    if min_value is None and problem.noiseless:
+        min_value = 0.0
     t0 = time.perf_counter()
     report = spectral.spectral_init(problem, spectral.PowerConfig(seed=seed))
     trace = solver.run(problem, report.x0, solver.SolverConfig(
-        min_value=cfg.min_value, max_iters=cfg.max_iters, tol_value=cfg.tol_value,
+        min_value=min_value, max_iters=cfg.max_iters, tol_value=cfg.tol_value,
         tol_dist=cfg.tol_dist))
     wall = time.perf_counter() - t0
     if trace.status == solver.NON_FINITE:
         raise NumericalError("non-finite objective or subgradient in the solve")
     ensure_finite("final iterate", trace.final_x)
-    # A Lanczos application and a Polyak step each take one forward and one
+    # A Lanczos application and a solver step each take one forward and one
     # adjoint product.  init_iters leaves out the first application; the zero
     # start (r_hat = 0) applies nothing.
     applications = 0 if report.r_hat == 0.0 else report.power_iters + 1
     entries = {
+        "step_rule": "geometric" if min_value is None else "polyak",
         "status": trace.status,
         "iterations": trace.iterations,
         "init_converged": report.converged,

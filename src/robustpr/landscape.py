@@ -401,7 +401,11 @@ def certify_stationary(x, xbar, d, m, threshold=10.0):
     near_signal by which point is closer); it is ``unexplained`` when every
     normalized score exceeds ``threshold``.  The constants hidden in the
     bound are not quantified, so treat scores as evidence, not a test.
+    ``d`` must be the dimension of ``x``: the scale, and so the verdict,
+    depends on it.
     """
+    if d != len(x):
+        raise ValueError(f"d = {d} does not match the candidate's dimension {len(x)}")
     if m < 1:
         raise ValueError("m must be positive")
     scale = (d / m) ** 0.25

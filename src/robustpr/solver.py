@@ -1,15 +1,23 @@
-"""Polyak subgradient method with trace recording and rate estimation.
+"""Subgradient method with two step rules, trace recording and rate estimation.
 
-The step from x uses the known minimal value of the objective:
+Given the minimal value of the objective, the step from x is Polyak's:
 
     x_next = x - (f(x) - min_value) / |zeta|^2 * zeta,   zeta a subgradient,
 
 which needs no step-size tuning.  For noiseless phase retrieval the minimum
-is 0; corrupted problems have unknown positive minima, so the value is
-configurable.  The loop stops on a value tolerance, a relative-distance
-tolerance (when the signal is known), a vanishing subgradient, a value or
-subgradient norm that is not finite (status ``non_finite``, recorded for that
-iterate), or the iteration cap; tolerances set to 0 / None are disabled.
+is 0.  Corrupted problems have an unknown positive minimum; with
+``min_value=None`` the step is geometrically decaying instead (Davis,
+Drusvyatskiy, MacPhee & Paquette, arXiv:1803.02461):
+
+    x_next = x - lam * q^k * zeta / |zeta|,   lam = 0.1 |x0|,  q = 0.95,
+
+which converges linearly on sharp, weakly convex objectives started within a
+constant relative distance of the signal.  Both rules share one loop, which
+stops on a value tolerance, a relative-distance tolerance (when the signal is
+known), a geometric step below ``tol_dist * |x|`` (status ``step_vanished``),
+a vanishing subgradient, a value or subgradient norm that is not finite
+(status ``non_finite``, recorded for that iterate), or the iteration cap;
+tolerances set to 0 / None are disabled.
 """
 
 from __future__ import annotations
@@ -25,11 +33,19 @@ CONVERGED = "converged"
 MAX_ITERS = "max_iters"
 ZERO_SUBGRADIENT = "zero_subgradient"
 NON_FINITE = "non_finite"
+STEP_VANISHED = "step_vanished"
+
+# The geometric rule's first step is GEOMETRIC_SCALE * |x0| long, and each
+# step is GEOMETRIC_DECAY times the one before.
+GEOMETRIC_SCALE = 0.1
+GEOMETRIC_DECAY = 0.95
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    min_value: float = 0.0
+    """``min_value`` selects the step rule: Polyak given a number, geometric given None."""
+
+    min_value: float | None = 0.0
     max_iters: int = 2000
     tol_value: float = 0.0
     tol_dist: float | None = None
@@ -64,14 +80,19 @@ class SolveTrace:
         return len(self.records)
 
 
-def polyak_step(problem, x, min_value=0.0):
-    """Evaluate f and a subgradient at x and take one Polyak step."""
+def polyak_step(problem, x, min_value=0.0, length=None):
+    """Evaluate f and a subgradient zeta at x and take one subgradient step.
+
+    The step is Polyak's, (f - min_value) / |zeta|^2 * zeta, or, when
+    ``length`` is given, the step of that length along -zeta / |zeta|.
+    """
     x = np.asarray(x, dtype=np.float64)
     f, zeta = objective.value_and_subgradient(problem, x)
     gn = float(np.linalg.norm(zeta))
     if gn == 0.0 or not (math.isfinite(f) and math.isfinite(gn)):
         return PolyakStep(next_x=None, f_value=f, subgrad_norm=gn)
-    return PolyakStep(next_x=x - ((f - min_value) / gn**2) * zeta, f_value=f, subgrad_norm=gn)
+    coef = (f - min_value) / gn**2 if length is None else length / gn
+    return PolyakStep(next_x=x - coef * zeta, f_value=f, subgrad_norm=gn)
 
 
 def _rel_dist(x, xbar, nb):
@@ -79,25 +100,35 @@ def _rel_dist(x, xbar, nb):
 
 
 def run(problem, x0, cfg):
-    """Iterate Polyak steps from x0 until a stopping rule fires.
+    """Iterate subgradient steps from x0 until a stopping rule fires.
 
-    One trace record is written per evaluated iterate; ``step_length`` is the
-    norm of the attempted step, (f - min_value) / |zeta| (NaN when the
-    subgradient vanished).  ``rel_dist`` is min(|x-xbar|, |x+xbar|) / |xbar|
-    and is present only when the problem stores the signal.  ``final_x`` is
-    the iterate the last record describes (x0 when there is no record).
+    The step rule is Polyak's when ``cfg.min_value`` is a number and the
+    geometric one when it is None; only the geometric rule stops with
+    ``step_vanished``, once lam * q^k <= tol_dist * |x| (at x0 = 0 that is the
+    first iterate).  One trace record is written per evaluated iterate;
+    ``step_length`` is the norm of the attempted step: (f - min_value) / |zeta|
+    (NaN when the subgradient vanished) or lam * q^k.  ``rel_dist`` is
+    min(|x-xbar|, |x+xbar|) / |xbar| and is present only when the problem
+    stores the signal.  ``final_x`` is the iterate the last record describes
+    (x0 when there is no record).
     """
     x = np.asarray(x0, dtype=np.float64).copy()
     if x.shape != (problem.d,):
         raise ValueError(f"x0 has shape {x.shape}, expected ({problem.d},)")
     xbar = problem.truth
     nb = np.linalg.norm(xbar) if xbar is not None else 0.0
+    geometric = cfg.min_value is None
+    lam = GEOMETRIC_SCALE * float(np.linalg.norm(x)) if geometric else 0.0
     trace = SolveTrace(final_x=x)
     for k in range(cfg.max_iters):
         trace.final_x = x
-        step = polyak_step(problem, x, cfg.min_value)
+        if geometric:
+            length = lam * GEOMETRIC_DECAY**k
+            step = polyak_step(problem, x, length=length)
+        else:
+            step = polyak_step(problem, x, cfg.min_value)
+            length = (step.f_value - cfg.min_value) / step.subgrad_norm if step.subgrad_norm > 0 else math.nan
         rel = _rel_dist(x, xbar, nb) if xbar is not None and nb > 0 else None
-        length = (step.f_value - cfg.min_value) / step.subgrad_norm if step.subgrad_norm > 0 else math.nan
         trace.records.append(
             TraceRecord(k=k, f_value=step.f_value, subgrad_norm=step.subgrad_norm,
                         step_length=length, rel_dist=rel)
@@ -110,6 +141,9 @@ def run(problem, x0, cfg):
             break
         if cfg.tol_dist is not None and rel is not None and rel <= cfg.tol_dist:
             trace.status = CONVERGED
+            break
+        if geometric and cfg.tol_dist is not None and length <= cfg.tol_dist * np.linalg.norm(x):
+            trace.status = STEP_VANISHED
             break
         if step.next_x is None:
             trace.status = ZERO_SUBGRADIENT

@@ -1,7 +1,9 @@
 """Spectral initialization via restarted Lanczos.
 
-The initial point is r_hat * w_hat, where r_hat^2 is the mean measurement and
-w_hat is the unit eigenvector of the smallest eigenvalue of
+The initial point is r_hat * w_hat, where r_hat^2 is the mean measurement
+(for corrupted data, the median measurement over the chi-squared(1) median,
+which a minority of gross errors cannot move far) and w_hat is the unit
+eigenvector of the smallest eigenvalue of
 
     X_init = sum over selected i of a_i a_i^T,
 
@@ -30,6 +32,9 @@ _KRYLOV_DIM = 20
 # invariant subspace.  Scaling by the operator (not by the current alpha)
 # keeps rounding-level remainders of a degenerate operator out of the basis.
 _BREAKDOWN = 1e-10
+# Median of the chi-squared distribution with one degree of freedom: for
+# Gaussian rows median(b) / _CHI2_1_MEDIAN estimates |xbar|^2.
+_CHI2_1_MEDIAN = 0.4549364231195728
 
 
 @dataclass(frozen=True)
@@ -135,16 +140,16 @@ def min_eigenvector(op, d, cfg=PowerConfig()):
                        converged=converged)
 
 
-def selection_mask(b):
+def selection_mask(b, r2=None):
     """0/1 mask of the indices entering X_init.
 
-    Uses the rule b_i <= mean(b) / 2; if that selects nothing (possible for
-    degenerate b with all entries equal), falls back to the ceil(m/2) smallest
-    entries so the operator stays nonzero.
+    Uses the rule b_i <= r2 / 2, r2 defaulting to mean(b); if that selects
+    nothing (possible for degenerate b with all entries equal), falls back to
+    the ceil(m/2) smallest entries so the operator stays nonzero.
     """
     b = np.asarray(b, dtype=np.float64)
     m = b.shape[0]
-    mask = b <= 0.5 * b.mean()
+    mask = b <= 0.5 * (b.mean() if r2 is None else r2)
     if not mask.any():
         mask = np.zeros(m, dtype=bool)
         mask[np.argsort(b, kind="stable")[: math.ceil(m / 2)]] = True
@@ -154,17 +159,19 @@ def selection_mask(b):
 def spectral_init(problem, cfg=PowerConfig()):
     """Initial point r_hat * w_hat for the subgradient method.
 
-    Degenerate measurements (mean b <= 0, e.g. the zero signal) return the
-    zero vector with n_selected = m, residual 0 and converged set; a mean
-    that is not finite gives a non-finite start with converged unset.
+    r_hat^2 is mean(b) for noiseless problems and median(b) / median of
+    chi-squared(1) for corrupted ones.  Degenerate measurements (r_hat^2 <= 0,
+    e.g. the zero signal) return the zero vector with n_selected = m,
+    residual 0 and converged set; an r_hat^2 that is not finite gives a
+    non-finite start with converged unset.
     """
     b = problem.b
     m = problem.m
-    r2 = float(b.mean())
+    r2 = float(b.mean()) if problem.noiseless else float(np.median(b)) / _CHI2_1_MEDIAN
     if r2 <= 0.0:
         return InitReport(x0=np.zeros(problem.d), r_hat=0.0, n_selected=m,
                           power_iters=0, residual=0.0, converged=True)
-    mask = selection_mask(b)
+    mask = selection_mask(b, r2)
     ens = problem.ensemble
 
     def op(v):

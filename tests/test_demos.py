@@ -11,11 +11,26 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
-def test_demo_runs(demo, tmp_path):
+def run_demo(demo, tmp_path):
     # The demos write their outputs under the temporary directory.
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path),
                PYTHONWARNINGS="error::RuntimeWarning")
-    done = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+    return subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
+def test_demo_runs(demo, tmp_path):
+    done = run_demo(demo, tmp_path)
     assert done.returncode == 0, done.stderr
+
+
+def test_convergence_demo_recovers_corrupted_data_without_the_oracle(tmp_path):
+    done = run_demo(ROOT / "demos" / "solve_convergence.py", tmp_path)
+    assert done.returncode == 0, done.stderr
+    (line,) = [ln for ln in done.stdout.splitlines() if ln.startswith("corrupted:")]
+    fields = dict(tok.split("=") for tok in line.split(":", 2)[2].split())
+    assert fields["step_rule"] == "geometric"
+    assert fields["status"] == "converged"
+    assert int(fields["iters"]) <= 420
+    assert float(fields["final_rel_dist"]) <= 1e-10

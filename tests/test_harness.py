@@ -139,7 +139,7 @@ COMMAND_KEYS = {
 
 DEFAULTS = {
     "kind": "gaussian", "d": None, "m": None, "l": None, "k": None, "seed": 0,
-    "seeds": [0], "min_value": 0.0, "max_iters": 2000, "tol_value": 0.0,
+    "seeds": [0], "min_value": None, "max_iters": 2000, "tol_value": 0.0,
     "tol_dist": 1e-10, "noise_p_fail": 0.0, "noise_scale": 0.0, "noise_seed": 0,
     "noise_kind": "gaussian", "out_dir": ".", "out": None, "xbar": None,
     "half_width": 2.0, "grid_n": 201, "candidates": None, "truth": None,
@@ -278,6 +278,33 @@ def test_run_solve_experiment_noise_setting(tmp_path):
     assert summaries[0]["status"] == "max_iters"
 
 
+def test_corrupted_solve_takes_the_geometric_step_and_recovers(tmp_path):
+    # Gross errors at scale 1e4 drive mean(b) below 0 for this seed: the run
+    # needs the median init scale as well as the oracle-free step.
+    cfg = solve_cfg(tmp_path, d=200, m=1600, seeds=[0], noise_p_fail=0.15,
+                    noise_scale=1e4, noise_seed=100, max_iters=2000, tol_dist=1e-10)
+    (summary,) = harness.run_solve_experiment(cfg)
+    assert summary["step_rule"] == "geometric"
+    assert summary["status"] == "converged"
+    assert summary["final_rel_dist"] <= 1e-10
+    assert summary["iterations"] <= 420
+    assert json.loads((tmp_path / "summary.json").read_text())[0]["step_rule"] == "geometric"
+
+
+@pytest.mark.parametrize("noise, min_value", [({}, None), ({}, 0.0),
+                                              ({"noise_p_fail": 0.2, "noise_scale": 5.0}, 0.0)])
+def test_solve_takes_polyak_steps_on_noiseless_data_or_a_given_min_value(tmp_path, noise,
+                                                                         min_value):
+    cfg = solve_cfg(tmp_path, seeds=[0], min_value=min_value, max_iters=60, **noise)
+    (summary,) = harness.run_solve_experiment(cfg)
+    assert summary["step_rule"] == "polyak"
+    lines = (tmp_path / "trace_seed0.csv").read_text().strip().split("\n")[1:]
+    assert len(lines) == summary["iterations"]
+    for line in lines:
+        k, f, rel, gn, step = line.split(",")
+        assert float(step) == pytest.approx(float(f) / float(gn), rel=1e-12)
+
+
 def test_run_solve_experiment_hadamard_kind(tmp_path):
     cfg = harness.ExperimentConfig(command="solve", kind="hadamard", l=64, k=4,
                                    seeds=[1], max_iters=500, tol_dist=1e-6,
@@ -372,6 +399,14 @@ def test_image_pipeline_recovers_gradient_image(tmp_path):
     recovered = netpbm.read_image(out)
     assert recovered.shape == (16, 16)
     assert json.loads((tmp_path / "out.pgm.json").read_text())["k"] == 3
+
+
+def test_image_pipeline_reports_the_polyak_rule(tmp_path):
+    src = tmp_path / "in.pgm"
+    netpbm.write_image(src, gradient_image(8, 8))
+    summary = harness.run_image_pipeline(str(src), str(tmp_path / "out.pgm"), k=2, seed=1)
+    assert summary["step_rule"] == "polyak"
+    assert json.loads((tmp_path / "out.pgm.json").read_text())["step_rule"] == "polyak"
 
 
 def test_image_pipeline_all_black_image(tmp_path):

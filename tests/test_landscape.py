@@ -515,6 +515,13 @@ def test_certify_rejects_a_zero_signal_and_no_measurements():
         rp.certify_stationary(np.ones(2), np.ones(2), 2, 0)
 
 
+def test_certify_rejects_a_dimension_that_is_not_the_candidates():
+    xbar = np.array([1.0, 1.0])
+    with pytest.raises(ValueError, match="does not match"):
+        rp.certify_stationary(xbar, xbar, 3, 50)
+    assert rp.certify_stationary(xbar, xbar, 2, 50).verdict == rp.NEAR_SIGNAL
+
+
 def test_certify_scale_decreases_with_m():
     xbar = np.array([1.0, 1.0])
     scales = [rp.certify_stationary(xbar, xbar, 2, m).scale for m in (2, 20, 200)]

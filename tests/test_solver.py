@@ -191,3 +191,84 @@ def test_run_stops_on_non_finite_value(bad):
     assert not math.isfinite(trace.records[0].f_value)
     np.testing.assert_array_equal(trace.final_x, x0)
     assert rp.polyak_step(corrupted, x0).next_x is None
+
+
+# ---------------------------------------------------------------------------
+# geometric step rule (min_value=None)
+# ---------------------------------------------------------------------------
+
+def corrupted_problem(p_fail, seed, truth=True, d=200, m=1600, scale=10.0):
+    ens = rp.gaussian_ensemble(d, m, seed=seed)
+    xbar = rp.rng_for(seed, 99).standard_normal(d)
+    p = rp.measure(ens, xbar, rp.NoiseModel(p_fail=p_fail, scale=scale, seed=100 + seed))
+    if truth:
+        return p
+    return rp.PhaseProblem(ensemble=ens, b=p.b.copy(), noise=p.noise)
+
+
+@pytest.mark.parametrize("p_fail", [0.05, 0.15, 0.30])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_geometric_rule_recovers_corrupted_signal_without_the_oracle(p_fail, seed):
+    p = corrupted_problem(p_fail, seed)
+    start = rp.spectral_init(p, rp.PowerConfig(seed=seed))
+    trace = rp.run(p, start.x0, rp.SolverConfig(min_value=None, tol_dist=1e-10))
+    # The distance shrinks with the step, so near tol_dist either stop can
+    # come first; both end far below 1e-8.
+    assert trace.status in (rp.CONVERGED, rp.STEP_VANISHED)
+    assert trace.records[-1].rel_dist <= 1e-8
+    assert trace.iterations <= 420
+    lam = 0.1 * np.linalg.norm(start.x0)
+    for r in trace.records:
+        assert r.step_length == lam * 0.95**r.k
+
+
+def test_geometric_rule_stops_when_the_step_vanishes_relative_to_x():
+    # Without the signal, the run stops at the first k with
+    # 0.1 |x0| 0.95^k <= tol |x_k|; started at xbar the iterates keep |x| = |x0|
+    # to far better than the 3% between 0.95^k and tol at the stopping k.
+    tol = 1e-6
+    full = corrupted_problem(0.15, 0)
+    p = corrupted_problem(0.15, 0, truth=False)
+    trace = rp.run(p, full.truth, rp.SolverConfig(min_value=None, tol_dist=tol))
+    first = next(k for k in range(10_000) if 0.1 * 0.95**k <= tol)
+    assert trace.status == rp.STEP_VANISHED == "step_vanished"
+    assert trace.iterations == first + 1
+    assert all(r.rel_dist is None for r in trace.records)
+    nx = np.linalg.norm(trace.final_x)
+    assert trace.records[-1].step_length <= tol * nx < trace.records[-2].step_length
+
+
+def test_geometric_rule_without_tol_dist_never_reports_a_vanished_step():
+    p = corrupted_problem(0.15, 0, truth=False, d=20, m=160)
+    trace = rp.run(p, np.ones(20), rp.SolverConfig(min_value=None, max_iters=700,
+                                                   tol_dist=None))
+    assert trace.status == rp.MAX_ITERS
+    assert trace.iterations == 700
+
+
+@pytest.mark.parametrize("tol_dist, status", [(1e-10, rp.STEP_VANISHED),
+                                              (None, rp.ZERO_SUBGRADIENT)])
+def test_geometric_rule_stops_at_once_from_the_origin(tol_dist, status):
+    # lam = 0.1 |x0| = 0, and the subgradient vanishes at 0 as well.
+    p = corrupted_problem(0.15, 0, d=20, m=160)
+    trace = rp.run(p, np.zeros(20), rp.SolverConfig(min_value=None, tol_dist=tol_dist))
+    assert trace.status == status
+    assert trace.iterations == 1
+    (r,) = trace.records
+    assert r.step_length == 0.0
+    assert all(math.isfinite(v) for v in (r.f_value, r.subgrad_norm, r.rel_dist))
+    np.testing.assert_array_equal(trace.final_x, np.zeros(20))
+
+
+def test_explicit_min_value_on_corrupted_data_takes_polyak_steps():
+    # Replays Polyak's x - (f - min_value) / |zeta|^2 zeta with the objective
+    # alone: the run must take exactly these steps, bit for bit.
+    p = corrupted_problem(0.15, 1, d=20, m=160)
+    x = rp.spectral_init(p, rp.PowerConfig(seed=1)).x0
+    trace = rp.run(p, x, rp.SolverConfig(min_value=0.0, max_iters=60, tol_dist=1e-10))
+    assert trace.status == rp.MAX_ITERS
+    for r in trace.records:
+        f, zeta = rp.value_and_subgradient(p, x)
+        gn = float(np.linalg.norm(zeta))
+        assert (r.f_value, r.subgrad_norm, r.step_length) == (f, gn, f / gn)
+        x = x - (f / gn**2) * zeta

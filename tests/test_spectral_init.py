@@ -89,6 +89,27 @@ def test_spectral_init_norm_matches_mean_measurement():
     assert 0 <= report.n_selected <= problem.m
 
 
+def test_spectral_init_scale_is_robust_to_gross_corruption():
+    # The solve command's signal for seed 0 (stream tag 40).  Gross errors at
+    # scale 1e4 in 15% of the entries drive mean(b) below 0, where a mean
+    # scale would return x0 = 0; the median scale lands near |xbar|.
+    scipy_stats = pytest.importorskip("scipy.stats")
+    assert spectral._CHI2_1_MEDIAN == pytest.approx(scipy_stats.chi2.median(1), rel=1e-14)
+    xbar = rp.rng_for(0, 40).standard_normal(200)
+    problem = rp.measure(rp.gaussian_ensemble(200, 1600, seed=0), xbar,
+                         rp.NoiseModel(p_fail=0.15, scale=1e4, seed=100))
+    assert problem.b.mean() < 0
+    report = rp.spectral_init(problem, rp.PowerConfig(seed=0))
+    r2 = float(np.median(problem.b)) / spectral._CHI2_1_MEDIAN
+    assert report.converged
+    assert report.r_hat == math.sqrt(r2)
+    assert report.r_hat == pytest.approx(np.linalg.norm(xbar), rel=0.15)
+    assert report.n_selected == np.count_nonzero(problem.b <= r2 / 2)
+    rel = min(np.linalg.norm(report.x0 - xbar),
+              np.linalg.norm(report.x0 + xbar)) / np.linalg.norm(xbar)
+    assert rel <= 0.5
+
+
 def test_spectral_init_quality_at_fixed_seed():
     ens = rp.gaussian_ensemble(100, 800, seed=12345)
     xbar = rp.rng_for(12345, 99).standard_normal(100)
