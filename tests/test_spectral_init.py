@@ -110,6 +110,17 @@ def test_spectral_init_scale_is_robust_to_gross_corruption():
     assert rel <= 0.5
 
 
+@pytest.mark.parametrize("m", [1, 2, 5, 1600, 1601])
+def test_median_matches_numpy(m):
+    b = rp.rng_for(m, 7).standard_normal(m)
+    b[: m // 3] = b[0]  # ties
+    assert spectral._median(b) == float(np.median(b))
+    b[m // 2] = math.inf
+    assert spectral._median(b) == float(np.median(b))
+    b[m - 1] = math.nan
+    assert math.isnan(spectral._median(b))
+
+
 def test_spectral_init_quality_at_fixed_seed():
     ens = rp.gaussian_ensemble(100, 800, seed=12345)
     xbar = rp.rng_for(12345, 99).standard_normal(100)
