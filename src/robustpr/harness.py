@@ -221,18 +221,19 @@ def _init_and_solve(problem, cfg, seed):
     data takes the Polyak step to 0 and corrupted data, whose minimum is
     unknown, the geometric step.  Returns the init report, the trace, and the
     summary entries every command reports: step rule, stop status,
-    iterations, init convergence, the matvecs (forward or adjoint products) of
-    each stage, and wall time.
+    iterations, init convergence, the matvecs (forward or adjoint products) and
+    seconds of each stage, and wall time, their sum.
     """
     min_value = cfg.min_value
     if min_value is None and problem.noiseless:
         min_value = 0.0
     t0 = time.perf_counter()
     report = spectral.spectral_init(problem, spectral.PowerConfig(seed=seed))
+    t1 = time.perf_counter()
     trace = solver.run(problem, report.x0, solver.SolverConfig(
         min_value=min_value, max_iters=cfg.max_iters, tol_value=cfg.tol_value,
         tol_dist=cfg.tol_dist))
-    wall = time.perf_counter() - t0
+    t2 = time.perf_counter()
     if trace.status == solver.NON_FINITE:
         raise NumericalError("non-finite objective or subgradient in the solve")
     ensure_finite("final iterate", trace.final_x)
@@ -249,7 +250,9 @@ def _init_and_solve(problem, cfg, seed):
         "init_residual": _json_scalar(report.residual),
         "init_matvecs": 2 * applications,
         "solve_matvecs": 2 * trace.iterations,
-        "wall_time_s": wall,
+        "init_s": t1 - t0,
+        "solve_s": t2 - t1,
+        "wall_time_s": t2 - t0,
     }
     return report, trace, entries
 

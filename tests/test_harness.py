@@ -222,9 +222,18 @@ def test_run_solve_experiment_is_deterministic(tmp_path):
     sa = json.loads((a_dir / "summary.json").read_text())
     sb = json.loads((b_dir / "summary.json").read_text())
     for ea, eb in zip(sa, sb):
-        ea.pop("wall_time_s")
-        eb.pop("wall_time_s")
+        for key in ("init_s", "solve_s", "wall_time_s"):
+            ea.pop(key)
+            eb.pop(key)
         assert ea == eb
+
+
+def test_summary_times_each_stage(tmp_path):
+    harness.run_solve_experiment(solve_cfg(tmp_path, seeds=[0]))
+    (summary,) = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["init_s"] >= 0.0 and summary["solve_s"] >= 0.0
+    assert summary["init_s"] + summary["solve_s"] == pytest.approx(summary["wall_time_s"],
+                                                                   rel=1e-12, abs=1e-12)
 
 
 def test_run_solve_experiment_zero_iteration_budget(tmp_path):

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import robustpr as rp
+from robustpr import landscape
+from robustpr.objective import value_and_subgradient
 
 C_RING = 0.4416
 
@@ -666,3 +668,140 @@ def test_graph_closeness_audit_pairs_the_signal_at_radius_zero():
         assert pair.dist == 0.0
         assert pair.pop_grad_norm == 0.0
         assert np.array_equal(pair.x_p_near, pair.x_s)
+
+
+# ---------------------------------------------------------------------------
+# the audit's sorted sweep against direct evaluation of f_S
+# ---------------------------------------------------------------------------
+
+def grid_blocks(problem, x1, x2):
+    """The nodes of the grid x1 x x2, row-major, in blocks of at most 10^6 residuals."""
+    g1, g2 = np.meshgrid(x1, x2, indexing="ij")
+    pts = np.column_stack([g1.ravel(), g2.ravel()])
+    step = max(1, 10**6 // problem.m)
+    return g1.shape, [pts[k:k + step] for k in range(0, len(pts), step)]
+
+
+def direct_grid(problem, x1, x2):
+    """f_S and its subgradient on the grid x1 x x2 from value_and_subgradient on blocks."""
+    shape, blocks = grid_blocks(problem, x1, x2)
+    f, zeta = map(np.concatenate, zip(*(value_and_subgradient(problem, block)
+                                        for block in blocks)))
+    return f.reshape(shape), zeta.reshape(shape + (2,))
+
+
+def sign_free_slack(problem, x1, x2):
+    """(2/m) sum |<a_i,x>| |a_i| over the residuals within rounding of 0, per node.
+
+    There the evaluated sign is set by rounding, and any sign gives a
+    subgradient of a point within rounding of the node, so two evaluations
+    may differ by this much.  Returns the slack and the count of such residuals.
+    """
+    shape, blocks = grid_blocks(problem, x1, x2)
+    rows = rp.densify(problem.ensemble)
+    norms = np.linalg.norm(rows, axis=1)
+    slack, undecided = [], 0
+    for block in blocks:
+        ax = rp.apply(problem.ensemble, block)
+        # <a,x>^2 - b rounds to within a few eps of this size, wherever the
+        # roots are computed from
+        size = (np.abs(block[:, :1] * rows[:, 0]) + np.abs(block[:, 1:] * rows[:, 1])
+                + np.sqrt(np.abs(problem.b))) ** 2
+        near_zero = np.abs(ax * ax - problem.b) <= 16.0 * np.finfo(float).eps * size
+        slack.append((2.0 / problem.m) * (np.abs(ax) * near_zero) @ norms)
+        undecided += int(near_zero.sum())
+    return np.concatenate(slack).reshape(shape), undecided
+
+
+def ensemble_with_rows(rows):
+    rows = np.array(rows, dtype=np.float64)
+    return rp.MeasurementEnsemble(kind=rp.DENSE_GAUSSIAN, d=2, m=rows.shape[0], seed=0,
+                                  rows=rows)
+
+
+NODE_AXIS = np.linspace(-2.0, 2.0, 41)   # holds (1, 0) and (-1, 0) as nodes
+SWEEP_CASES = {
+    "gaussian_m1": lambda: planar_problem(1, seed=5),
+    "gaussian_m5": lambda: planar_problem(5, seed=6),
+    "gaussian_m500": lambda: planar_problem(500, seed=7),
+    "gaussian_m5000": lambda: planar_problem(5000, seed=8),
+    "corrupted_scale10": lambda: rp.measure(
+        rp.gaussian_ensemble(2, 2000, seed=9), np.array([0.6, -0.8]),
+        rp.NoiseModel(p_fail=0.2, scale=10.0, seed=1)),
+    "corrupted_scale1e4": lambda: rp.measure(
+        rp.gaussian_ensemble(2, 2000, seed=9), np.array([0.6, -0.8]),
+        rp.NoiseModel(p_fail=0.2, scale=1e4, seed=2)),
+    "row_without_x2": lambda: rp.measure(
+        ensemble_with_rows([[1.3, 0.0], [0.0, -0.7], [0.4, 1.1], [-2.0, 0.5]]),
+        np.array([0.6, -0.8])),
+    "hadamard_l2": lambda: rp.measure(rp.hadamard_ensemble(2, 64, seed=3),
+                                      np.array([0.83, -0.57])),
+    "signal_on_node": lambda: rp.measure(rp.gaussian_ensemble(2, 2000, seed=1),
+                                         np.array([1.0, 0.0])),
+    "corrupted_signal_on_node": lambda: rp.measure(
+        rp.gaussian_ensemble(2, 2000, seed=1), np.array([1.0, 0.0]),
+        rp.NoiseModel(p_fail=0.2, scale=10.0, seed=3)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+def test_planar_sweep_matches_value_and_subgradient(case):
+    problem = SWEEP_CASES[case]()
+    if case.endswith("on_node"):
+        x1 = x2 = NODE_AXIS
+    else:
+        x1, x2 = np.linspace(-1.6, 1.6, 41), np.linspace(-1.3, 1.7, 37)
+    # A measurement without real roots must not reach the root formula.
+    with np.errstate(all="raise"):
+        f, zeta = landscape._planar_sweep(problem, x1, x2)
+    f_direct, zeta_direct = direct_grid(problem, x1, x2)
+    assert f.shape == f_direct.shape and zeta.shape == zeta_direct.shape
+    assert np.all(np.abs(f - f_direct) <= 1e-12 * (1.0 + np.abs(f_direct)))
+    slack, undecided = sign_free_slack(problem, x1, x2)
+    assert np.all(np.linalg.norm(zeta - zeta_direct, axis=-1) <= 1e-12 + slack)
+    if case.startswith("corrupted"):
+        assert (problem.b < 0.0).any()
+    # +-xbar on a node, or a sketch node on the line x1 + x2 = xbar1 + xbar2,
+    # puts residuals within rounding of 0.
+    if case.endswith("on_node") or case == "hadamard_l2":
+        assert undecided > 0
+
+
+AUDIT_CASES = {
+    # criterion 11's instance and the instances of the audit tests above
+    "criterion_11": (lambda: planar_problem(5000, seed=0), 1.6, 161, 0.2),
+    "m2000": (lambda: planar_problem(2000, seed=1), 1.6, 61, math.inf),
+    "m500": (lambda: planar_problem(500, seed=2), 1.6, 30, math.inf),
+    "m5": (lambda: planar_problem(5, seed=3), 1.6, 31, math.inf),
+    "m50": (lambda: planar_problem(50, seed=4), 1.6, 31, math.inf),
+    "signal_on_node": (lambda: rp.measure(rp.gaussian_ensemble(2, 2000, seed=1),
+                                          np.array([1.0, 0.0])), 2.0, 41, math.inf),
+}
+
+
+@pytest.mark.parametrize("case", sorted(AUDIT_CASES))
+def test_audit_pairs_match_direct_evaluation(case, monkeypatch):
+    make, half_width, grid_n, cut = AUDIT_CASES[case]
+    problem = make()
+    cut *= float(np.linalg.norm(problem.truth))
+    swept = rp.graph_closeness_audit(problem, half_width, grid_n, max_subgrad_norm=cut)
+    monkeypatch.setattr(landscape, "_planar_sweep", direct_grid)
+    direct = rp.graph_closeness_audit(problem, half_width, grid_n, max_subgrad_norm=cut)
+    assert swept and len(swept) == len(direct)
+    direct_points = [tuple(pair.x_s) for pair in direct]
+    matched = []
+    for pair in swept:
+        if tuple(pair.x_s) in direct_points:
+            sign = 1.0
+        else:
+            # f_S(-x) = f_S(x), so x and -x tie in subgradient norm; the two
+            # evaluations round the tie apart and may report either point.
+            sign = -1.0
+        k = direct_points.index(tuple(sign * pair.x_s))
+        matched.append(k)
+        twin = direct[k]
+        assert pair.subgrad_norm == pytest.approx(twin.subgrad_norm, rel=1e-12, abs=1e-12)
+        # dhat, and so the ball radius, moves in the last bits with f_S's rounding.
+        assert pair.radius == pytest.approx(twin.radius, rel=1e-11, abs=1e-15)
+        np.testing.assert_allclose(pair.x_p_near, sign * twin.x_p_near, rtol=0.0, atol=1e-12)
+    assert sorted(matched) == list(range(len(direct)))
