@@ -1,19 +1,25 @@
 """Spectral initialization via restarted Lanczos.
 
-The initial point is r_hat * w_hat, where r_hat^2 is the mean measurement
-(for corrupted data, the median measurement over the chi-squared(1) median,
-which a minority of gross errors cannot move far) and w_hat is the unit
-eigenvector of the smallest eigenvalue of
+The initial point is r_hat * w_hat.  The per-row scale r^2 is the mean
+measurement (for corrupted data, the median measurement over the
+chi-squared(1) median, which a minority of gross errors cannot move far), and
+w_hat is the unit eigenvector of the smallest eigenvalue of
 
     X_init = sum over selected i of a_i a_i^T,
 
-selection keeping indices with b_i <= r_hat^2 / 2 (small measurements, so the
-selected rows are nearly orthogonal to the signal and its direction shows up
-in the bottom of the spectrum).  X_init is applied matrix-free as
-A^T (mask * (A v)), so sketch ensembles never materialize rows.  The smallest
-eigenpair comes from a Lanczos iteration with full reorthogonalization on a
-fixed-size Krylov basis, restarted from the bottom Ritz vector until its
-true residual is small; no shift or bound on the top eigenvalue is needed.
+selection keeping indices with 0 <= b_i <= r^2 / 2 (small measurements, so
+the selected rows are nearly orthogonal to the signal and its direction shows
+up in the bottom of the spectrum; a negative entry is no squared magnitude,
+so it is certainly corrupted and stays out).  The selection reads r^2 in
+per-row units; the output is rescaled from the rows, r_hat^2 =
+r^2 * m * d / |A|_F^2, which is |xbar|^2 exactly for a noiseless sketch
+(unit rows) and r^2 up to O(1/sqrt(m d)) for Gaussian rows.  X_init is
+applied matrix-free as A^T (mask * (A v)), so sketch ensembles never
+materialize rows.  The smallest eigenpair comes from a Lanczos iteration with
+full reorthogonalization on a fixed-size Krylov basis, restarted from the
+bottom Ritz vector.  The start needs only a direction, so the init stops as
+soon as the Davis-Kahan bound sin(angle) <= |residual| / gap certifies that
+direction to _ANGLE_TOL, the gap read from the two lowest Ritz values.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measure import apply, apply_adjoint, rng_for
+from .measure import apply, apply_adjoint, rng_for, squared_frobenius_norm
 
 _TAG_POWER_START = 20
 # Krylov basis size per Lanczos cycle.
@@ -35,6 +41,10 @@ _BREAKDOWN = 1e-10
 # Median of the chi-squared distribution with one degree of freedom: for
 # Gaussian rows median(b) / _CHI2_1_MEDIAN estimates |xbar|^2.
 _CHI2_1_MEDIAN = 0.4549364231195728
+# The init stops once |op w - theta_1 w| <= _ANGLE_TOL * (theta_2 - theta_1):
+# the subgradient method needs a start within a constant relative distance
+# of +-xbar, not an eigenvector to rounding.
+_ANGLE_TOL = 0.01
 
 
 @dataclass(frozen=True)
@@ -69,7 +79,7 @@ def _check_finite(v):
     return v
 
 
-def min_eigenvector(op, d, cfg=PowerConfig()):
+def min_eigenvector(op, d, cfg=PowerConfig(), angle_tol=None):
     """Smallest eigenpair of a symmetric PSD operator given as a callable.
 
     Restarted Lanczos from a seeded random unit vector: each cycle builds an
@@ -80,6 +90,13 @@ def min_eigenvector(op, d, cfg=PowerConfig()):
     tol * (1 + lam_top), lam_top being the largest |alpha| or beta of the
     projected matrices so far (a lower bound on the top eigenvalue), or until
     a basis closes on an invariant subspace, which a restart would rebuild.
+    With ``angle_tol`` set, it also stops once the residual falls below
+    angle_tol * (theta_2 - theta_1), the gap between the two lowest Ritz
+    values of the last cycle: by Davis-Kahan the angle between w and the
+    bottom eigenvector is then about angle_tol or less (theta_2 bounds the
+    second eigenvalue from above, so the gap is an estimate, not a bound).
+    ``converged`` reports that the last residual met the stop in force: the
+    tol rule alone by default, either rule with ``angle_tol``.
     ``iters`` counts the ``op`` applications after the first and is capped by
     ``cfg.max_iters``.  The sign is normalized so the largest-magnitude
     coordinate is nonnegative.
@@ -96,8 +113,13 @@ def min_eigenvector(op, d, cfg=PowerConfig()):
     lam = float(w @ opw)
     residual = float(np.linalg.norm(opw - lam * w))
     top = max(abs(lam), residual)
+    gap = 0.0
+
+    def stop():
+        return residual <= max(cfg.tol * (1.0 + top), (angle_tol or 0.0) * gap)
+
     iters = 0
-    while residual > cfg.tol * (1.0 + top):
+    while not stop():
         n = min(dim, cfg.max_iters - iters)
         if n < 2:
             break
@@ -121,7 +143,8 @@ def min_eigenvector(op, d, cfg=PowerConfig()):
             basis[j + 1] = u / beta[j]
         k = j + 1
         # eigh reads only the lower triangle of the tridiagonal matrix.
-        _, s = np.linalg.eigh(np.diag(alpha[:k]) + np.diag(beta[: k - 1], -1))
+        theta, s = np.linalg.eigh(np.diag(alpha[:k]) + np.diag(beta[: k - 1], -1))
+        gap = float(theta[1] - theta[0]) if k > 1 else 0.0
         w = s[:, 0] @ basis[:k]
         w /= np.linalg.norm(w)
         opw = _check_finite(op(w))
@@ -131,7 +154,7 @@ def min_eigenvector(op, d, cfg=PowerConfig()):
         if invariant:
             # A restart would rebuild the same invariant subspace.
             break
-    converged = bool(residual <= cfg.tol * (1.0 + top))
+    converged = bool(stop())
 
     i = int(np.argmax(np.abs(w)))
     if w[i] < 0:
@@ -143,13 +166,14 @@ def min_eigenvector(op, d, cfg=PowerConfig()):
 def selection_mask(b, r2=None):
     """0/1 mask of the indices entering X_init.
 
-    Uses the rule b_i <= r2 / 2, r2 defaulting to mean(b); if that selects
-    nothing (possible for degenerate b with all entries equal), falls back to
-    the ceil(m/2) smallest entries so the operator stays nonzero.
+    Uses the rule 0 <= b_i <= r2 / 2, r2 defaulting to mean(b): a negative
+    entry is no squared magnitude, so it is certainly corrupted.  If that
+    selects nothing (possible for degenerate b with all entries equal), falls
+    back to the ceil(m/2) smallest entries so the operator stays nonzero.
     """
     b = np.asarray(b, dtype=np.float64)
     m = b.shape[0]
-    mask = b <= 0.5 * (b.mean() if r2 is None else r2)
+    mask = (b >= 0.0) & (b <= 0.5 * (b.mean() if r2 is None else r2))
     if not mask.any():
         mask = np.zeros(m, dtype=bool)
         mask[np.argsort(b, kind="stable")[: math.ceil(m / 2)]] = True
@@ -172,25 +196,30 @@ def _median(b):
 def spectral_init(problem, cfg=PowerConfig()):
     """Initial point r_hat * w_hat for the subgradient method.
 
-    r_hat^2 is mean(b) for noiseless problems and median(b) / median of
-    chi-squared(1) for corrupted ones.  Degenerate measurements (r_hat^2 <= 0,
-    e.g. the zero signal) return the zero vector with n_selected = m,
-    residual 0 and converged set; an r_hat^2 that is not finite gives a
-    non-finite start with converged unset.
+    The per-row scale r^2 is mean(b) for noiseless problems and median(b) /
+    median of chi-squared(1) for corrupted ones; it sets the selection, and
+    r_hat^2 = r^2 * m * d / |A|_F^2 the length of the start.  w_hat stops at
+    the ``_ANGLE_TOL`` angle certificate (or at ``cfg.tol``, whichever comes
+    first).  Degenerate measurements (r^2 <= 0, e.g. the zero signal) or rows
+    (|A|_F = 0) return the zero vector with n_selected = m, residual 0 and
+    converged set; an r^2 that is not finite gives a non-finite start with
+    converged unset.
     """
     b = problem.b
-    m = problem.m
+    m, d = problem.m, problem.d
+    ens = problem.ensemble
     r2 = float(b.mean()) if problem.noiseless else _median(b) / _CHI2_1_MEDIAN
-    if r2 <= 0.0:
-        return InitReport(x0=np.zeros(problem.d), r_hat=0.0, n_selected=m,
+    fro2 = 0.0 if r2 <= 0.0 else squared_frobenius_norm(ens)
+    if fro2 == 0.0:
+        return InitReport(x0=np.zeros(d), r_hat=0.0, n_selected=m,
                           power_iters=0, residual=0.0, converged=True)
     mask = selection_mask(b, r2)
-    ens = problem.ensemble
 
     def op(v):
         return apply_adjoint(ens, mask * apply(ens, v))
 
-    eig = min_eigenvector(op, problem.d, cfg)
-    return InitReport(x0=math.sqrt(r2) * eig.w, r_hat=math.sqrt(r2),
+    eig = min_eigenvector(op, d, cfg, angle_tol=_ANGLE_TOL)
+    r_hat = math.sqrt(r2 * m * d / fro2)
+    return InitReport(x0=r_hat * eig.w, r_hat=r_hat,
                       n_selected=int(mask.sum()), power_iters=eig.iters,
                       residual=eig.residual, converged=eig.converged and math.isfinite(r2))

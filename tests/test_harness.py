@@ -300,6 +300,16 @@ def test_corrupted_solve_takes_the_geometric_step_and_recovers(tmp_path):
     assert json.loads((tmp_path / "summary.json").read_text())[0]["step_rule"] == "geometric"
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_corrupted_solve_recovers_with_thirty_percent_gross_errors(tmp_path, seed):
+    # About 30% of the selected entries are negative here; kept in the
+    # selection they put x0 at rel_dist 0.67-1.27 and seeds 1-2 stop far off.
+    cfg = solve_cfg(tmp_path, d=200, m=1600, seeds=[seed], noise_p_fail=0.30,
+                    noise_scale=1e4, noise_seed=100 + seed, max_iters=2000, tol_dist=1e-10)
+    (summary,) = harness.run_solve_experiment(cfg)
+    assert summary["final_rel_dist"] <= 1e-9
+
+
 @pytest.mark.parametrize("noise, min_value", [({}, None), ({}, 0.0),
                                               ({"noise_p_fail": 0.2, "noise_scale": 5.0}, 0.0)])
 def test_solve_takes_polyak_steps_on_noiseless_data_or_a_given_min_value(tmp_path, noise,
@@ -439,7 +449,7 @@ def test_capped_image_run_reports_the_relative_distance_of_its_last_iterate(tmp_
     summary = harness.run_image_pipeline(str(src), str(tmp_path / "out.pgm"),
                                          k=3, seed=7, max_iters=20)
     assert summary["status"] == "max_iters" and summary["iterations"] == 20
-    assert summary["rel_dist"] == pytest.approx(9.58e-3, abs=5e-6)
+    assert summary["rel_dist"] == pytest.approx(2.230e-3, abs=5e-6)
 
 
 def test_image_pipeline_flips_a_solve_that_ends_at_minus_the_signal(tmp_path, monkeypatch):

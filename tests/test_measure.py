@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import hadamard as dense_hadamard
 
 import robustpr as rp
-from robustpr.measure import corruption
+from robustpr.measure import corruption, squared_frobenius_norm
 
 SQ2 = math.sqrt(2.0)
 
@@ -80,9 +80,10 @@ def _dense_transform(v):
     return np.concatenate([h[i:i + 512] @ v for i in range(0, l, 512)]) / math.sqrt(l)
 
 
-@pytest.mark.parametrize("l", [64, 128, 4096, 8192])
+@pytest.mark.parametrize("l", [16, 32, 64, 128, 256, 512, 4096, 8192])
 def test_fwht_across_the_radix_matches_dense_sylvester_matrix(l):
-    # 64 and 4096 are one and two full radix-64 passes; 128 and 8192 add a remainder pass.
+    # 16, 256 and 4096 are one, two and three full radix-16 passes; 32, 64, 128, 512
+    # and 8192 add a remainder pass of radix 2, 4, 8, 2 and 2.
     rng = np.random.default_rng(l)
     v = rng.standard_normal(l)
     np.testing.assert_allclose(rp.fwht(v), _dense_transform(v), atol=1e-12)
@@ -94,6 +95,17 @@ def test_fwht_across_the_radix_matches_dense_sylvester_matrix(l):
         for j in range(3):
             np.testing.assert_allclose(block[n, j], rp.fwht(ens.sign_diagonals[j] * xs[n]),
                                        atol=1e-12)
+
+
+@pytest.mark.parametrize("l, k", [(8, 1), (64, 3)])
+def test_squared_frobenius_norm_matches_densified_rows(l, k):
+    ens = rp.hadamard_ensemble(l, k, seed=l)
+    rows = rp.densify(ens)
+    # Each block H S_j is orthogonal, so its rows are unit vectors.
+    assert squared_frobenius_norm(ens) == ens.m
+    assert np.sum(rows**2) == pytest.approx(ens.m, rel=1e-13)
+    dense = rp.gaussian_ensemble(l, 3 * l, seed=l)
+    assert squared_frobenius_norm(dense) == pytest.approx(np.sum(dense.rows**2), rel=1e-13)
 
 
 def test_fwht_involution_and_isometry():
