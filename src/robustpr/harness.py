@@ -27,6 +27,10 @@ _TAG_SIGNAL = 40
 
 TRACE_HEADER = "iter,f_value,rel_dist,subgrad_norm,step_length"
 
+# Rows of the landscape grid evaluated and written at a time: about 0.4 MB of
+# text at grid_n = 401.
+_GRID_BLOCK_ROWS = 16
+
 
 class ConfigError(Exception):
     """Invalid, missing, or unknown configuration."""
@@ -308,21 +312,28 @@ def run_landscape_grid(xbar, half_width, grid_n, out_path):
 
     Writes row-major CSV rows (x1, x2, f_pop, grad_norm); nonsmooth collinear
     cells carry a NaN gradient norm sentinel, while the origin and the exact
-    minimizers report 0 (a subgradient of norm 0 exists there).
+    minimizers report 0 (a subgradient of norm 0 exists there).  The grid is
+    evaluated and written ``_GRID_BLOCK_ROWS`` rows at a time, so only the
+    returned (axis, f, g) span the whole grid.
     """
     if grid_n < 2:
         raise ConfigError("grid_n must be at least 2")
     xbar = np.asarray(xbar, dtype=np.float64)
     axis = np.linspace(-half_width, half_width, grid_n)
-    g1, g2 = np.meshgrid(axis, axis, indexing="ij")
-    f, g = landscape.population_grid(xbar, g1, g2)
-    # repr of a Python float is _fmt's text; one string per grid row bounds memory
+    f = np.empty((grid_n, grid_n))
+    g = np.empty((grid_n, grid_n))
+    # repr of a Python float is _fmt's text
     coords = [repr(v) for v in axis.tolist()]
-    lines = ["x1,x2,f_pop,grad_norm"]
-    for x1, f_row, g_row in zip(coords, f, g):
-        lines.append("\n".join(f"{x1},{x2},{fv!r},{gv!r}" for x2, fv, gv
-                               in zip(coords, f_row.tolist(), g_row.tolist())))
-    netpbm.atomic_write_bytes(out_path, ("\n".join(lines) + "\n").encode("utf-8"))
+    with netpbm.atomic_writer(out_path) as fh:
+        fh.write(b"x1,x2,f_pop,grad_norm\n")
+        for lo in range(0, grid_n, _GRID_BLOCK_ROWS):
+            rows = slice(lo, lo + _GRID_BLOCK_ROWS)
+            g1, g2 = np.meshgrid(axis[rows], axis, indexing="ij")
+            f[rows], g[rows] = landscape.population_grid(xbar, g1, g2)
+            fh.write("".join(
+                f"{x1},{x2},{fv!r},{gv!r}\n"
+                for x1, f_row, g_row in zip(coords[rows], f[rows].tolist(), g[rows].tolist())
+                for x2, fv, gv in zip(coords, f_row, g_row)).encode("utf-8"))
     return axis, f, g
 
 

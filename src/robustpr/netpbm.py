@@ -8,6 +8,7 @@ and write atomically via a temporary file in the destination directory.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import tempfile
 
@@ -78,18 +79,29 @@ def read_image(path):
     return pixels.reshape(height, width, 3).copy()
 
 
-def atomic_write_bytes(path, payload):
-    """Write bytes via a same-directory temp file and rename into place."""
+@contextlib.contextmanager
+def atomic_writer(path):
+    """A binary file that replaces ``path`` only when the block ends without error.
+
+    Writes go to a temp file in the destination directory, which is renamed
+    into place on success and removed on any exception.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_bytes(path, payload):
+    """Write bytes via a same-directory temp file and rename into place."""
+    with atomic_writer(path) as fh:
+        fh.write(payload)
 
 
 def write_image(path, pixels):

@@ -14,10 +14,11 @@ Drusvyatskiy, MacPhee & Paquette, arXiv:1803.02461):
 which converges linearly on sharp, weakly convex objectives started within a
 constant relative distance of the signal.  Both rules share one loop, which
 stops on a value tolerance, a relative-distance tolerance (when the signal is
-known), a geometric step below ``tol_dist * |x|`` (status ``step_vanished``),
-a vanishing subgradient, a value or subgradient norm that is not finite
-(status ``non_finite``, recorded for that iterate), or the iteration cap;
-tolerances set to 0 / None are disabled.
+known), geometric steps whose remaining travel lam q^k / (1 - q) is at most
+``tol_dist * |x|`` (status ``step_vanished``), a vanishing subgradient, a
+value or subgradient norm that is not finite (status ``non_finite``, recorded
+for that iterate), or the iteration cap; tolerances set to 0 / None are
+disabled.
 """
 
 from __future__ import annotations
@@ -104,7 +105,9 @@ def run(problem, x0, cfg):
 
     The step rule is Polyak's when ``cfg.min_value`` is a number and the
     geometric one when it is None; only the geometric rule stops with
-    ``step_vanished``, once lam * q^k <= tol_dist * |x| (at x0 = 0 that is the
+    ``step_vanished``, once all its remaining steps together,
+    lam * q^k / (1 - q), are no longer than tol_dist * |x|: the iterate can
+    then move no further than the distance tolerance (at x0 = 0 that is the
     first iterate).  One trace record is written per evaluated iterate;
     ``step_length`` is the norm of the attempted step: (f - min_value) / |zeta|
     (NaN when the subgradient vanished) or lam * q^k.  ``rel_dist`` is
@@ -142,7 +145,8 @@ def run(problem, x0, cfg):
         if cfg.tol_dist is not None and rel is not None and rel <= cfg.tol_dist:
             trace.status = CONVERGED
             break
-        if geometric and cfg.tol_dist is not None and length <= cfg.tol_dist * np.linalg.norm(x):
+        if (geometric and cfg.tol_dist is not None
+                and length / (1.0 - GEOMETRIC_DECAY) <= cfg.tol_dist * np.linalg.norm(x)):
             trace.status = STEP_VANISHED
             break
         if step.next_x is None:

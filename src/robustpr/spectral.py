@@ -80,7 +80,10 @@ def _check_finite(v):
 
 
 def min_eigenvector(op, d, cfg=PowerConfig(), angle_tol=None):
-    """Smallest eigenpair of a symmetric PSD operator given as a callable.
+    """Smallest eigenpair of a symmetric operator given as a callable.
+
+    The operator may be indefinite: the eigenvalue found is the algebraically
+    smallest, negative or not.
 
     Restarted Lanczos from a seeded random unit vector: each cycle builds an
     orthonormal Krylov basis of at most ``_KRYLOV_DIM`` vectors, takes the
@@ -88,8 +91,9 @@ def min_eigenvector(op, d, cfg=PowerConfig(), angle_tol=None):
     to the Ritz vector once more for its true residual |op w - (w' op w) w|.
     The next cycle restarts from that vector until the residual falls below
     tol * (1 + lam_top), lam_top being the largest |alpha| or beta of the
-    projected matrices so far (a lower bound on the top eigenvalue), or until
-    a basis closes on an invariant subspace, which a restart would rebuild.
+    projected matrices so far (a lower bound on the largest eigenvalue
+    magnitude), or until a basis closes on an invariant subspace, which a
+    restart would rebuild.
     With ``angle_tol`` set, it also stops once the residual falls below
     angle_tol * (theta_2 - theta_1), the gap between the two lowest Ritz
     values of the last cycle: by Davis-Kahan the angle between w and the

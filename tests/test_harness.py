@@ -1,12 +1,13 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import robustpr as rp
-from robustpr import harness, netpbm
+from robustpr import harness, landscape, netpbm
 
 
 def gradient_image(w=16, h=16):
@@ -383,6 +384,16 @@ def test_run_landscape_grid_nan_sentinel(tmp_path):
             assert gn != "nan"
 
 
+def per_cell_bytes(axis, f, g):
+    """The landscape CSV from four _fmt calls per cell."""
+    lines = ["x1,x2,f_pop,grad_norm"]
+    for i in range(axis.shape[0]):
+        for j in range(axis.shape[0]):
+            lines.append(",".join([harness._fmt(axis[i]), harness._fmt(axis[j]),
+                                   harness._fmt(f[i, j]), harness._fmt(g[i, j])]))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
 @pytest.mark.parametrize("xbar, nan_cells", [
     ((1.0, 1.0), True), ((1.41, 0.0), True), ((0.3, -1.7), False), ((1.0, 0.0), True)])
 def test_run_landscape_grid_writes_the_bytes_of_the_per_cell_loop(tmp_path, xbar, nan_cells):
@@ -390,13 +401,51 @@ def test_run_landscape_grid_writes_the_bytes_of_the_per_cell_loop(tmp_path, xbar
     axis, f, g = harness.run_landscape_grid(np.array(xbar), 2.0, 41, str(out))
     # the xbar line crosses grid cells other than the origin only for the first kind
     assert np.isnan(g).any() == nan_cells
-    # Oracle: four _fmt calls per cell.
-    lines = ["x1,x2,f_pop,grad_norm"]
-    for i in range(axis.shape[0]):
-        for j in range(axis.shape[0]):
-            lines.append(",".join([harness._fmt(axis[i]), harness._fmt(axis[j]),
-                                   harness._fmt(f[i, j]), harness._fmt(g[i, j])]))
-    assert out.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+    assert out.read_bytes() == per_cell_bytes(axis, f, g)
+
+
+@pytest.mark.parametrize("grid_n", [2, 17, 401])
+def test_run_landscape_grid_streams_the_bytes_of_the_whole_grid(tmp_path, grid_n):
+    # 17 rows leave a partial last block; 401 is the benchmark's grid.
+    out = tmp_path / "g.csv"
+    xbar = np.array([-1.24, -0.68])
+    axis, f, g = harness.run_landscape_grid(xbar, 2.0, grid_n, str(out))
+    whole_f, whole_g = landscape.population_grid(xbar, *np.meshgrid(axis, axis, indexing="ij"))
+    np.testing.assert_array_equal(f, whole_f)
+    np.testing.assert_array_equal(g, whole_g)
+    assert out.read_bytes() == per_cell_bytes(axis, whole_f, whole_g)
+
+
+def test_run_landscape_grid_holds_only_a_block_of_text(tmp_path):
+    # The CSV is 10 MB at 401^2 and the returned f and g take 2.6 MB.
+    tracemalloc.start()
+    try:
+        harness.run_landscape_grid(np.array([1.0, 1.0]), 2.0, 401, str(tmp_path / "g.csv"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "g.csv").stat().st_size > 10_000_000
+    assert peak <= 8_000_000
+
+
+def test_run_landscape_grid_error_mid_stream_keeps_the_old_file(tmp_path, monkeypatch):
+    out = tmp_path / "g.csv"
+    out.write_bytes(b"old contents\n")
+    calls = []
+    real = landscape.population_grid
+
+    def fail_on_third_block(*args):
+        calls.append(None)
+        if len(calls) == 3:
+            raise RuntimeError("injected")
+        return real(*args)
+
+    monkeypatch.setattr(landscape, "population_grid", fail_on_third_block)
+    with pytest.raises(RuntimeError, match="injected"):
+        harness.run_landscape_grid(np.array([1.0, 1.0]), 2.0, 401, str(out))
+    assert len(calls) == 3
+    assert out.read_bytes() == b"old contents\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.csv"]
 
 
 def test_run_landscape_grid_rejects_tiny_grid(tmp_path):

@@ -805,3 +805,130 @@ def test_audit_pairs_match_direct_evaluation(case, monkeypatch):
         assert pair.radius == pytest.approx(twin.radius, rel=1e-11, abs=1e-15)
         np.testing.assert_allclose(pair.x_p_near, sign * twin.x_p_near, rtol=0.0, atol=1e-12)
     assert sorted(matched) == list(range(len(direct)))
+
+
+# ---------------------------------------------------------------------------
+# the in-range sweep against a sweep that sorts every root
+# ---------------------------------------------------------------------------
+
+def full_sort_sweep(problem, x1, x2):
+    """f_S and its subgradient on the grid x1 x x2, sorting all roots of every row.
+
+    The reference for ``_planar_sweep``: every root, inside [x2[0], x2[-1]]
+    or not, enters one sort and one running sum.
+    """
+    a = rp.densify(problem.ensemble)
+    b = problem.b
+    x1 = np.asarray(x1, dtype=np.float64)
+    x2 = np.asarray(x2, dtype=np.float64)
+    weights = np.column_stack([a[:, 0] * a[:, 0], a[:, 0] * a[:, 1], a[:, 1] * a[:, 1], b])
+    swept = (a[:, 1] != 0.0) & (b >= 0.0)
+    a1_s, a2_s, root_b = a[swept, 0], a[swept, 1], np.sqrt(b[swept])
+    a1_k, b_k, weights_k = a[~swept, 0], b[~swept], weights[~swept]
+    start = weights[swept].sum(axis=0)
+    steps = np.concatenate([-2.0 * weights[swept], 2.0 * weights[swept]])
+    sums = np.empty((x1.shape[0], x2.shape[0], 4))
+    for i, row in enumerate(x1):
+        r1 = (-a1_s * row - root_b) / a2_s
+        r2 = (-a1_s * row + root_b) / a2_s
+        roots = np.concatenate([np.minimum(r1, r2), np.maximum(r1, r2)])
+        order = np.argsort(roots)
+        roots = roots[order]
+        running = np.vstack([np.zeros(4), np.cumsum(steps[order], axis=0)])
+        # Roots below a node step it fully, roots on it by half.
+        below = running[np.searchsorted(roots, x2, side="left")]
+        upto = running[np.searchsorted(roots, x2, side="right")]
+        u_k = a1_k * row
+        sums[i] = (start + np.sign(u_k * u_k - b_k) @ weights_k + 0.5 * (below + upto))
+    s11, s12, s22, s_b = np.moveaxis(sums, -1, 0) / problem.m
+    p1 = x1[:, None]
+    p2 = x2[None, :]
+    z1 = s11 * p1 + s12 * p2
+    z2 = s12 * p1 + s22 * p2
+    return p1 * z1 + p2 * z2 - s_b, 2.0 * np.stack([z1, z2], axis=-1)
+
+
+def problem_with(rows, b):
+    return rp.PhaseProblem(ensemble=ensemble_with_rows(rows), b=np.array(b, dtype=np.float64))
+
+
+# x2 = (-1, -0.5, 0, 0.5, 1) exactly.  A row (0, c) has the roots +-sqrt(b)/c
+# on every grid row; (1, 1) has -x1 +- sqrt(b), exact at x1 in {-0.5, 0, 0.5}.
+EDGE_AXIS = np.linspace(-1.0, 1.0, 5)
+EDGE_ROWS = np.array([-0.5, 0.0, 0.5])
+EDGE_CASES = {
+    # roots at -+2 and -+3: one below x2[0] and one above x2[-1]
+    "below_and_above": (problem_with([[0.0, 1.0], [0.0, 2.0], [0.0, -1.0]], [4.0, 36.0, 9.0]),
+                        EDGE_ROWS, EDGE_AXIS),
+    # roots at -+1: on x2[0] and on x2[-1]
+    "on_both_ends": (problem_with([[0.0, 1.0], [0.0, -2.0]], [1.0, 4.0]),
+                     EDGE_ROWS, EDGE_AXIS),
+    # roots at -+0.5 and at -x1 +- 0.5: on interior nodes, on the ends and past them
+    "on_interior_nodes": (problem_with([[0.0, 1.0], [1.0, 1.0], [0.0, 4.0]],
+                                       [0.25, 0.25, 4.0]), EDGE_ROWS, EDGE_AXIS),
+    # every kind at once, with a kept row (a_i2 = 0) and a corrupted one (b < 0)
+    "mixed": (problem_with([[0.0, 1.0], [0.0, 1.0], [1.0, 1.0], [0.0, 2.0], [1.5, 0.0],
+                            [0.7, -0.3]], [1.0, 4.0, 0.25, 1.0, 2.25, -1.0]),
+              EDGE_ROWS, EDGE_AXIS),
+    # all roots (-+2, -+3) outside the row's range: the sub-grid holds no root
+    "no_root_in_range": (problem_with([[0.0, 1.0], [0.0, 1.0]], [4.0, 9.0]),
+                         EDGE_ROWS, EDGE_AXIS),
+    "gaussian_subgrid_without_roots": (planar_problem(5, seed=3), np.linspace(-0.01, 0.01, 9),
+                                       np.linspace(3.0, 3.02, 9)),
+    # a single node: the range is one point, so a root counts only if it sits on it
+    "single_node_on_root": (problem_with([[0.0, 1.0], [0.0, 1.0]], [1.0, 4.0]),
+                            EDGE_ROWS, np.array([1.0])),
+    "single_node_gaussian": (planar_problem(500, seed=7), np.linspace(-1.6, 1.6, 9),
+                             np.array([0.3])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_CASES))
+def test_planar_sweep_matches_full_sort_and_direct_at_range_edges(case):
+    problem, x1, x2 = EDGE_CASES[case]
+    with np.errstate(all="raise"):
+        f, zeta = landscape._planar_sweep(problem, x1, x2)
+    f_full, zeta_full = full_sort_sweep(problem, x1, x2)
+    np.testing.assert_allclose(f, f_full, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(zeta, zeta_full, rtol=1e-12, atol=1e-12)
+    f_direct, zeta_direct = direct_grid(problem, x1, x2)
+    np.testing.assert_allclose(f, f_direct, rtol=1e-12, atol=1e-12)
+    slack, _ = sign_free_slack(problem, x1, x2)
+    assert np.all(np.linalg.norm(zeta - zeta_direct, axis=-1) <= 1e-12 + slack)
+
+
+def test_mixed_edge_case_puts_roots_on_nodes_and_past_both_ends():
+    problem = EDGE_CASES["mixed"][0]
+    roots = set()
+    for row in EDGE_ROWS:
+        for (a1, a2), bi in zip(rp.densify(problem.ensemble), problem.b):
+            if a2 != 0.0 and bi >= 0.0:
+                roots |= {(-a1 * row - math.sqrt(bi)) / a2, (-a1 * row + math.sqrt(bi)) / a2}
+    lo, hi = EDGE_AXIS[0], EDGE_AXIS[-1]
+    assert {lo, -0.5, 0.0, 0.5, hi} <= roots
+    assert min(roots) < lo and max(roots) > hi
+    assert all(r in EDGE_AXIS for r in roots if lo <= r <= hi)
+
+
+def test_gaussian_subgrid_case_holds_no_root():
+    problem, x1, x2 = EDGE_CASES["gaussian_subgrid_without_roots"]
+    a = rp.densify(problem.ensemble)
+    r = np.sqrt(problem.b)
+    roots = np.concatenate([(-a[:, 0] * x - s * r) / a[:, 1] for x in x1 for s in (-1, 1)])
+    assert not ((roots >= x2[0]) & (roots <= x2[-1])).any()
+
+
+@pytest.mark.parametrize("case", ["criterion_11", "m2000", "signal_on_node"])
+def test_audit_pairs_match_the_full_sort_sweep(case, monkeypatch):
+    make, half_width, grid_n, cut = AUDIT_CASES[case]
+    problem = make()
+    cut *= float(np.linalg.norm(problem.truth))
+    swept = rp.graph_closeness_audit(problem, half_width, grid_n, max_subgrad_norm=cut)
+    monkeypatch.setattr(landscape, "_planar_sweep", full_sort_sweep)
+    full = rp.graph_closeness_audit(problem, half_width, grid_n, max_subgrad_norm=cut)
+    assert swept and len(swept) == len(full)
+    for pair, twin in zip(swept, full):
+        np.testing.assert_array_equal(pair.x_s, twin.x_s)
+        np.testing.assert_allclose(pair.x_p_near, twin.x_p_near, rtol=0.0, atol=1e-12)
+        for name in ("subgrad_norm", "pop_grad_norm", "dist", "radius"):
+            assert abs(getattr(pair, name) - getattr(twin, name)) <= 1e-12

@@ -212,10 +212,9 @@ def test_geometric_rule_recovers_corrupted_signal_without_the_oracle(p_fail, see
     p = corrupted_problem(p_fail, seed)
     start = rp.spectral_init(p, rp.PowerConfig(seed=seed))
     trace = rp.run(p, start.x0, rp.SolverConfig(min_value=None, tol_dist=1e-10))
-    # The distance shrinks with the step, so near tol_dist either stop can
-    # come first; both end far below 1e-8.
-    assert trace.status in (rp.CONVERGED, rp.STEP_VANISHED)
-    assert trace.records[-1].rel_dist <= 1e-8
+    # The remaining travel outlasts the distance, so the run ends converged.
+    assert trace.status == rp.CONVERGED
+    assert trace.records[-1].rel_dist <= 1e-10
     assert trace.iterations <= 420
     lam = 0.1 * np.linalg.norm(start.x0)
     for r in trace.records:
@@ -223,19 +222,42 @@ def test_geometric_rule_recovers_corrupted_signal_without_the_oracle(p_fail, see
 
 
 def test_geometric_rule_stops_when_the_step_vanishes_relative_to_x():
-    # Without the signal, the run stops at the first k with
-    # 0.1 |x0| 0.95^k <= tol |x_k|; started at xbar the iterates keep |x| = |x0|
-    # to far better than the 3% between 0.95^k and tol at the stopping k.
+    # Without the signal, the run stops at the first k whose remaining travel
+    # 0.1 |x0| 0.95^k / 0.05 is <= tol |x_k| (k = 283); started at xbar the
+    # iterates keep |x| = |x0| to far better than the 0.7% between 2 0.95^k
+    # and tol at the stopping k.
     tol = 1e-6
     full = corrupted_problem(0.15, 0)
     p = corrupted_problem(0.15, 0, truth=False)
     trace = rp.run(p, full.truth, rp.SolverConfig(min_value=None, tol_dist=tol))
-    first = next(k for k in range(10_000) if 0.1 * 0.95**k <= tol)
+    first = next(k for k in range(10_000) if 0.1 * 0.95**k / 0.05 <= tol)
+    assert first == 283
     assert trace.status == rp.STEP_VANISHED == "step_vanished"
     assert trace.iterations == first + 1
     assert all(r.rel_dist is None for r in trace.records)
     nx = np.linalg.norm(trace.final_x)
-    assert trace.records[-1].step_length <= tol * nx < trace.records[-2].step_length
+    travel = [r.step_length / 0.05 for r in trace.records[-2:]]
+    assert travel[1] <= tol * nx < travel[0]
+
+
+@pytest.mark.parametrize("seed, iterations, step_below_tol", [
+    (0, 403, False), (1, 406, True), (2, 413, True)])
+def test_geometric_rule_reports_a_recovered_signal_as_converged(seed, iterations,
+                                                                step_below_tol):
+    # The solve command's problems at p_fail 0.30 and scale 1e4.  On seeds 1-2
+    # the step falls below tol_dist |x| (k = 404) before rel_dist reaches
+    # tol_dist; the remaining travel lam q^k / (1 - q) is 20 times that step,
+    # so the run goes on and ends converged instead of step_vanished.
+    d, tol = 200, 1e-10
+    p = rp.measure(rp.gaussian_ensemble(d, 1600, seed), rp.rng_for(seed, 40).standard_normal(d),
+                   rp.NoiseModel(p_fail=0.30, scale=1e4, seed=100 + seed))
+    start = rp.spectral_init(p, rp.PowerConfig(seed=seed))
+    trace = rp.run(p, start.x0, rp.SolverConfig(min_value=None, tol_dist=tol))
+    assert trace.status == rp.CONVERGED
+    assert trace.iterations == iterations
+    assert trace.records[-1].rel_dist <= tol
+    nb = np.linalg.norm(p.truth)
+    assert any(r.step_length <= tol * nb for r in trace.records) == step_below_tol
 
 
 def test_geometric_rule_without_tol_dist_never_reports_a_vanished_step():

@@ -59,6 +59,17 @@ def test_min_eigenvector_residual_obeys_scaled_tolerance():
     assert recomputed <= cfg.tol * (1.0 + lam_max)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_min_eigenvector_finds_a_negative_bottom_of_an_indefinite_operator(seed):
+    diag = np.linspace(-3.0, 5.0, 60)
+    diag[30] = -4.0
+    res = rp.min_eigenvector(matvec(np.diag(diag)), 60, rp.PowerConfig(seed=seed))
+    assert res.converged
+    assert res.iters == 40
+    assert res.eigenvalue_estimate == pytest.approx(-4.0, abs=1e-12)
+    assert abs(res.w[30]) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_min_eigenvector_rejects_non_finite_operator():
     def bad(v):
         return np.full_like(v, np.nan)
