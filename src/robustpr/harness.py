@@ -228,6 +228,8 @@ def _init_and_solve(problem, cfg, seed):
     iterations, init convergence, the matvecs (forward or adjoint products) and
     seconds of each stage, and wall time, their sum.
     """
+    if cfg.max_iters < 0:
+        raise ConfigError(f"max_iters must be at least 0, got {cfg.max_iters}")
     min_value = cfg.min_value
     if min_value is None and problem.noiseless:
         min_value = 0.0
@@ -261,6 +263,11 @@ def _init_and_solve(problem, cfg, seed):
     return report, trace, entries
 
 
+def _require_seeds(cfg):
+    if not cfg.seeds:
+        raise ConfigError(f"{cfg.command} requires at least one seed")
+
+
 def _run_one_seed(cfg, seed):
     problem = _seeded_problem(cfg, seed)
     report, trace, entries = _init_and_solve(problem, cfg, seed)
@@ -288,8 +295,7 @@ def run_solve_experiment(cfg):
     ``out_dir``; a ``summary.json`` collects final relative distance, rate
     estimate, status, and wall time per seed.
     """
-    if not cfg.seeds:
-        raise ConfigError("solve requires at least one seed")
+    _require_seeds(cfg)
     os.makedirs(cfg.out_dir, exist_ok=True)
     summaries = []
     for seed in cfg.seeds:
@@ -318,6 +324,8 @@ def run_landscape_grid(xbar, half_width, grid_n, out_path):
     """
     if grid_n < 2:
         raise ConfigError("grid_n must be at least 2")
+    if not 0.0 < half_width < math.inf:
+        raise ConfigError(f"half_width must be finite and positive, got {half_width}")
     xbar = np.asarray(xbar, dtype=np.float64)
     axis = np.linspace(-half_width, half_width, grid_n)
     f = np.empty((grid_n, grid_n))
@@ -328,8 +336,7 @@ def run_landscape_grid(xbar, half_width, grid_n, out_path):
         fh.write(b"x1,x2,f_pop,grad_norm\n")
         for lo in range(0, grid_n, _GRID_BLOCK_ROWS):
             rows = slice(lo, lo + _GRID_BLOCK_ROWS)
-            g1, g2 = np.meshgrid(axis[rows], axis, indexing="ij")
-            f[rows], g[rows] = landscape.population_grid(xbar, g1, g2)
+            f[rows], g[rows] = landscape.population_grid(xbar, axis[rows, None], axis)
             fh.write("".join(
                 f"{x1},{x2},{fv!r},{gv!r}\n"
                 for x1, f_row, g_row in zip(coords[rows], f[rows].tolist(), g[rows].tolist())
@@ -489,6 +496,7 @@ def run_certify(cfg):
             xbar = json.load(fh)
         results = certify_points(points, xbar, cfg.m, threshold=cfg.threshold)
     else:
+        _require_seeds(cfg)
         results = []
         for seed in cfg.seeds:
             problem, trace, summary = _run_one_seed(cfg, seed)
@@ -514,6 +522,10 @@ def run_certify(cfg):
 def run_probe(cfg):
     """Run one regularity probe on a seeded Gaussian problem and report JSON."""
     _require(cfg, "probe", "d", "m")
+    if cfg.samples < 1:
+        raise ConfigError(f"samples must be at least 1, got {cfg.samples}")
+    if cfg.probe == "weak_convexity" and not 0.0 < cfg.radius < math.inf:
+        raise ConfigError(f"radius must be finite and positive, got {cfg.radius}")
     problem = _seeded_problem(cfg, cfg.seed)
     out = {"probe": cfg.probe, "d": cfg.d, "m": cfg.m, "seed": cfg.seed,
            "samples": cfg.samples}

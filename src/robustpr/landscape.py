@@ -21,11 +21,13 @@ rate (d/m)^(1/4); ``certify_stationary`` reports how far a candidate is from
 each piece in those units, and ``graph_closeness_audit`` pairs empirical
 stationary points with nearby small-gradient points of the population
 objective.  The audit evaluates f_S on its planar grids by a sorted sweep per
-grid row: along a row each residual changes sign at no more than two roots,
-so one sort of the k roots inside the row's node range gives f_S and its
-subgradient at every node, at O(m + k log k + n) for a row of n nodes.  The
-roots before the range enter one product, and those past it none; on the
-audit's 9 x 9 refinement sub-grids k is under 1% of the 2m roots.
+grid row.  Row i sits at x1[i] with nondecreasing nodes x2[i, :] (a 1-D x2
+serves every row), so a refinement round's 10 zooms are one grid of 90 rows.
+Along a row each residual changes sign at no more than two roots, so one sort
+of the k roots inside the row's node range gives f_S and its subgradient at
+every node, at O(m + k log k + n) for a row of n nodes.  The roots before the
+range enter one product, and those past it none; on the 9-node zoom rows k is
+under 1% of the 2m roots.
 """
 
 from __future__ import annotations
@@ -493,26 +495,22 @@ def grid_local_minima(values, max_value=math.inf):
     return sorted(reported)
 
 
-def _grid_points(x1, x2):
-    """The nodes (x1[i], x2[j]) of a planar grid as (N, 2) points, row-major in i."""
-    g1, g2 = np.meshgrid(x1, x2, indexing="ij")
-    return np.column_stack([g1.ravel(), g2.ravel()])
-
-
 def _planar_sweep(problem, x1, x2):
-    """f_S and its subgradient at the nodes (x1[i], x2[j]), shapes (n1, n2) and (n1, n2, 2).
+    """f_S and its subgradient at the nodes (x1[i], x2[i, j]), shapes (n1, n2) and (n1, n2, 2).
 
-    Along a grid row x = (x1[i], t) the residual (a_i1 x1 + a_i2 t)^2 - b_i
-    changes sign only at its roots t = (-a_i1 x1 +- sqrt(b_i)) / a_i2.  For a
-    fixed sign pattern s, f_S(x) = x^T M_s x - beta_s and zeta = 2 M_s x with
+    Row i of the grid sits at x1[i] and its nodes are x2[i, :], each row's
+    nondecreasing; a 1-D ``x2`` gives every row the same nodes.  Along a row
+    x = (x1[i], t) the residual (a_i1 x1 + a_i2 t)^2 - b_i changes sign only
+    at its roots t = (-a_i1 x1 +- sqrt(b_i)) / a_i2.  For a fixed sign
+    pattern s, f_S(x) = x^T M_s x - beta_s and zeta = 2 M_s x with
     M_s = (1/m) sum s_i a_i a_i^T and beta_s = (1/m) sum s_i b_i.  So each row
     takes running sums of the sign steps of a_i1^2, a_i1 a_i2, a_i2^2 and b_i
-    in root order and reads them at every node of the nondecreasing ``x2``.
-    A root below x2[0] steps every node alike and is folded into the row's
-    start in one product, and a root above x2[-1] steps none, so only the
-    roots in [x2[0], x2[-1]] are sorted: O(m + k log k + n2) per row for k
-    such roots, in place of n2 m residuals.  A measurement with a_i2 = 0 or
-    b_i < 0 keeps one sign along the row.
+    in root order and reads them at every node of the row.  A root below the
+    row's first node steps every node alike and is folded into the row's
+    start in one product, and a root above its last node steps none, so only
+    the roots in the row's node range are sorted: O(m + k log k + n2) per row
+    for k such roots, in place of n2 m residuals.  A measurement with
+    a_i2 = 0 or b_i < 0 keeps one sign along the row.
     """
     a = problem.ensemble.rows
     if a is None:
@@ -520,6 +518,7 @@ def _planar_sweep(problem, x1, x2):
     b = problem.b
     x1 = np.asarray(x1, dtype=np.float64)
     x2 = np.asarray(x2, dtype=np.float64)
+    x2 = np.broadcast_to(x2, (x1.shape[0], x2.shape[-1]))
     weights = np.column_stack([a[:, 0] * a[:, 0], a[:, 0] * a[:, 1], a[:, 1] * a[:, 1], b])
     swept = (a[:, 1] != 0.0) & (b >= 0.0)
     a1_s, a2_s, root_b = a[swept, 0], a[swept, 1], np.sqrt(b[swept])
@@ -529,17 +528,17 @@ def _planar_sweep(problem, x1, x2):
     weights_s = np.compress(swept, weights, axis=0)
     start = weights_s.sum(axis=0)
     steps = np.concatenate([-2.0 * weights_s, 2.0 * weights_s])
-    cuts = np.zeros(2 * x2.shape[0] + 1, dtype=np.intp)
-    sums = np.empty((x1.shape[0], x2.shape[0], 4))
-    for i, row in enumerate(x1):
+    cuts = np.zeros(2 * x2.shape[1] + 1, dtype=np.intp)
+    sums = np.empty(x2.shape + (4,))
+    for i, (row, nodes) in enumerate(zip(x1, x2)):
         u = a1_s * row
         r1 = (-u - root_b) / a2_s
         r2 = (-u + root_b) / a2_s
         roots = np.concatenate([np.minimum(r1, r2), np.maximum(r1, r2)])
-        # A root below x2[0] adds its full step at every node; one on x2[0]
-        # or x2[-1] counts half its step at that node, so it is sorted.
-        below = roots < x2[0]
-        inside = np.flatnonzero(~below & (roots <= x2[-1]))
+        # A root below nodes[0] adds its full step at every node; one on
+        # nodes[0] or nodes[-1] counts half its step at that node, so it is sorted.
+        below = roots < nodes[0]
+        inside = np.flatnonzero(~below & (roots <= nodes[-1]))
         order = inside[np.argsort(roots[inside])]
         roots = roots[order]
         # The steps in root order, and a zero row that every cut can index.
@@ -547,8 +546,8 @@ def _planar_sweep(problem, x1, x2):
         np.take(steps, order, axis=0, out=ordered[:-1])
         # The counts of roots below and up to each node; a root on a node
         # takes half its step there, the residual's sign(0) = 0.
-        cuts[1::2] = np.searchsorted(roots, x2, side="left")
-        cuts[2::2] = np.searchsorted(roots, x2, side="right")
+        cuts[1::2] = np.searchsorted(roots, nodes, side="left")
+        cuts[2::2] = np.searchsorted(roots, nodes, side="right")
         # Running sums at the cuts from the stretches between them; reduceat
         # reads an empty stretch as its first row, which must count 0.
         stretch = np.add.reduceat(ordered, cuts, axis=0)[:-1]
@@ -559,40 +558,43 @@ def _planar_sweep(problem, x1, x2):
                    + 0.5 * (running[0::2] + running[1::2]))
     s11, s12, s22, s_b = np.moveaxis(sums, -1, 0) / problem.m
     p1 = x1[:, None]
-    p2 = x2[None, :]
-    z1 = s11 * p1 + s12 * p2
-    z2 = s12 * p1 + s22 * p2
-    return p1 * z1 + p2 * z2 - s_b, 2.0 * np.stack([z1, z2], axis=-1)
+    z1 = s11 * p1 + s12 * x2
+    z2 = s12 * p1 + s22 * x2
+    return p1 * z1 + x2 * z2 - s_b, 2.0 * np.stack([z1, z2], axis=-1)
 
 
-def _deviation_ratio(xbar, pts, f_emp, f_pop):
-    """|f_S - F| / (|x-xbar| |x+xbar|) at (N, 2) points, 0 where that product vanishes."""
-    denom = (np.linalg.norm(pts - xbar, axis=1)
-             * np.linalg.norm(pts + xbar, axis=1))
+def _deviation_ratio(xbar, x1, x2, f_emp):
+    """|f_S - F| / (|x-xbar| |x+xbar|) at the nodes (x1[i], x2[i, j]), 0 where that product vanishes."""
+    p1 = x1[:, None]
+    f_pop, _ = population_grid(xbar, p1, x2)
+    denom = (np.sqrt((p1 - xbar[0]) ** 2 + (x2 - xbar[1]) ** 2)
+             * np.sqrt((p1 + xbar[0]) ** 2 + (x2 + xbar[1]) ** 2))
     ok = denom > 1e-12 * float(xbar @ xbar)
     return np.where(ok, np.abs(f_emp - f_pop) / np.where(ok, denom, 1.0), 0.0)
 
 
-def _deviation_ratio_max(problem, pts, f_emp, f_pop, cell):
-    """Estimate sup |f_S - F| / (|x-xbar| |x+xbar|) over the scanned box.
+def _deviation_ratio_max(problem, axis, f_emp):
+    """Estimate sup |f_S - F| / (|x-xbar| |x+xbar|) over the square grid axis x axis.
 
     A plain grid max has a negative bias for a sup, so the top cells are
-    refined with two rounds of local sub-grids.
+    refined with two rounds of local sub-grids.  A round zooms on the 10 top
+    nodes of the grid before it with a 9 x 9 sub-grid each, the first spanning
+    +-1 cell and the second a quarter of that; its 90 rows are swept at once.
     """
     xbar = problem.truth
-    ratio = _deviation_ratio(xbar, pts, f_emp, f_pop)
+    x1, x2 = axis, axis
+    ratio = _deviation_ratio(xbar, x1, x2, f_emp)
     best = float(ratio.max())
-    centers = pts[np.argsort(ratio)[-10:]]
-    span = cell
+    span = float(axis[1] - axis[0])
     for _ in range(2):
+        i, j = np.unravel_index(np.argsort(ratio, axis=None)[-10:], ratio.shape)
+        c1, c2 = x1[i], np.broadcast_to(x2, ratio.shape)[i, j]
         offs = np.linspace(-span, span, 9)
-        axes = [(c[0] + offs, c[1] + offs) for c in centers]
-        locals_ = np.concatenate([_grid_points(u, v) for u, v in axes])
-        f_loc, _ = population_grid(xbar, locals_[:, 0], locals_[:, 1])
-        f_emp_loc = np.concatenate([_planar_sweep(problem, u, v)[0].ravel() for u, v in axes])
-        r = _deviation_ratio(xbar, locals_, f_emp_loc, f_loc)
-        best = max(best, float(r.max()))
-        centers = locals_[np.argsort(r)[-10:]]
+        # Row r of the round is row r % 9 of the zoom on node r // 9.
+        x1 = (c1[:, None] + offs).ravel()
+        x2 = np.repeat(c2[:, None] + offs, 9, axis=0)
+        ratio = _deviation_ratio(xbar, x1, x2, _planar_sweep(problem, x1, x2)[0])
+        best = max(best, float(ratio.max()))
         span /= 4.0
     return best
 
@@ -611,9 +613,9 @@ def graph_closeness_audit(problem, grid_half_width, grid_n, *, max_subgrad_norm=
     over the grid, and rho_hat from the weak-convexity probe; both are
     empirical stand-ins for the uniform constants in the comparison bound, so
     the output is an audit, not a proof.  f_S and its subgradient come from a
-    sorted sweep per grid row (``_planar_sweep``), on the main grid and on the
-    sub-grids that refine dhat, so the grid costs at most O(n m log m + n^2)
-    for n = ``grid_n``, not n^2 m residuals.
+    sorted sweep per grid row (``_planar_sweep``), called once on the main
+    grid and once on each of the two rounds of zooms that refine dhat, so the
+    grid costs at most O(n m log m + n^2) for n = ``grid_n``, not n^2 m residuals.
 
     Besides the smooth ball sub-grid, the exact stationary set of F (the
     origin, the minimizers +-xbar, and the two ring points) competes as
@@ -628,15 +630,9 @@ def graph_closeness_audit(problem, grid_half_width, grid_n, *, max_subgrad_norm=
         raise ValueError("grid_n must be at least 3")
     xbar = problem.truth
     axis = np.linspace(-grid_half_width, grid_half_width, grid_n)
-    pts = _grid_points(axis, axis)
-
     f_emp, zeta = _planar_sweep(problem, axis, axis)
-    f_emp = f_emp.ravel()
     sub_norm = np.hypot(zeta[..., 0], zeta[..., 1])
-    f_pop, _ = population_grid(xbar, pts[:, 0], pts[:, 1])
-
-    dhat = _deviation_ratio_max(problem, pts, f_emp, f_pop,
-                                cell=float(axis[1] - axis[0]))
+    dhat = _deviation_ratio_max(problem, axis, f_emp)
     rho_hat = weak_convexity_probe(problem, _PROBE_TRIPLES, 1.0, _PROBE_SEED).rho_hat
     shrink = math.sqrt(4.0 * dhat / (rho_hat + 2.0 * dhat)) if dhat > 0 else 0.0
 
@@ -652,15 +648,15 @@ def graph_closeness_audit(problem, grid_half_width, grid_n, *, max_subgrad_norm=
                                     * np.linalg.norm(x_s + xbar))
         # At radius 0 every ball node is x_s itself.
         loc = np.linspace(-radius, radius, _BALL_RESOLUTION)
-        l1, l2 = np.meshgrid(x_s[0] + loc, x_s[1] + loc, indexing="ij")
-        _, gnorm = population_grid(xbar, l1, l2)
-        inside = np.hypot(l1 - x_s[0], l2 - x_s[1]) <= radius
+        l1, l2 = x_s[0] + loc, x_s[1] + loc
+        _, gnorm = population_grid(xbar, l1[:, None], l2)
+        inside = np.hypot(l1[:, None] - x_s[0], l2 - x_s[1]) <= radius
         gnorm = np.where(inside & np.isfinite(gnorm), gnorm, np.nan)
         best_x, best_g = None, math.inf
         if not np.isnan(gnorm).all():
-            flat = np.nanargmin(gnorm)
-            best_x = np.array([l1.ravel()[flat], l2.ravel()[flat]])
-            best_g = float(gnorm.ravel()[flat])
+            bi, bj = np.unravel_index(np.nanargmin(gnorm), gnorm.shape)
+            best_x = np.array([l1[bi], l2[bj]])
+            best_g = float(gnorm[bi, bj])
         for point in exact_stationary:
             if np.linalg.norm(point - x_s) <= radius and best_g > 0.0:
                 best_x, best_g = point, 0.0

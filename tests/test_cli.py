@@ -161,11 +161,34 @@ def test_quiet_false_words_print(tmp_path, capsys, word):
     (["solve", "d=8", "m=40", "kind=foo"], "unknown ensemble kind 'foo'"),
     (["solve", "d=8", "m=40", "seeds="], "solve requires at least one seed"),
     (["landscape", "xbar=1,2,3", "out=g.csv"], "expected two comma-separated numbers"),
+    (["probe", "probe=sharpness", "d=8", "m=40", "samples=0", "out=p.json"],
+     "samples must be at least 1, got 0"),
+    (["probe", "probe=concentration", "d=8", "m=40", "samples=-3", "out=p.json"],
+     "samples must be at least 1, got -3"),
+    (["probe", "probe=weak_convexity", "d=2", "m=20", "samples=0", "out=p.json"],
+     "samples must be at least 1, got 0"),
+    (["probe", "probe=weak_convexity", "d=2", "m=20", "radius=0", "out=p.json"],
+     "radius must be finite and positive, got 0.0"),
+    (["probe", "probe=weak_convexity", "d=2", "m=20", "radius=-1", "out=p.json"],
+     "radius must be finite and positive, got -1.0"),
+    (["probe", "probe=weak_convexity", "d=2", "m=20", "radius=nan", "out=p.json"],
+     "radius must be finite and positive, got nan"),
+    (["probe", "probe=weak_convexity", "d=2", "m=20", "radius=inf", "out=p.json"],
+     "radius must be finite and positive, got inf"),
+    (["landscape", "xbar=1,1", "half_width=nan", "grid_n=5", "out=g.csv"],
+     "half_width must be finite and positive, got nan"),
+    (["landscape", "xbar=1,1", "half_width=inf", "grid_n=5", "out=g.csv"],
+     "half_width must be finite and positive, got inf"),
+    (["landscape", "xbar=1,1", "half_width=0", "grid_n=5", "out=g.csv"],
+     "half_width must be finite and positive, got 0.0"),
+    (["solve", "d=8", "m=40", "max_iters=-1"], "max_iters must be at least 0, got -1"),
+    (["certify", "d=8", "m=40", "seeds=", "out=c.json"], "certify requires at least one seed"),
 ])
 def test_bad_settings_are_usage_errors(tmp_path, capsys, monkeypatch, args, message):
     monkeypatch.chdir(tmp_path)
     assert main(args) == 1
     assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_each_command_prints_its_line(tmp_path, capsys):

@@ -675,15 +675,15 @@ def test_graph_closeness_audit_pairs_the_signal_at_radius_zero():
 # ---------------------------------------------------------------------------
 
 def grid_blocks(problem, x1, x2):
-    """The nodes of the grid x1 x x2, row-major, in blocks of at most 10^6 residuals."""
-    g1, g2 = np.meshgrid(x1, x2, indexing="ij")
+    """The nodes (x1[i], x2[i, j]), row-major, in blocks of at most 10^6 residuals."""
+    g1, g2 = np.broadcast_arrays(np.asarray(x1)[:, None], x2)
     pts = np.column_stack([g1.ravel(), g2.ravel()])
     step = max(1, 10**6 // problem.m)
     return g1.shape, [pts[k:k + step] for k in range(0, len(pts), step)]
 
 
 def direct_grid(problem, x1, x2):
-    """f_S and its subgradient on the grid x1 x x2 from value_and_subgradient on blocks."""
+    """f_S and its subgradient at the nodes (x1[i], x2[i, j]) from value_and_subgradient on blocks."""
     shape, blocks = grid_blocks(problem, x1, x2)
     f, zeta = map(np.concatenate, zip(*(value_and_subgradient(problem, block)
                                         for block in blocks)))
@@ -812,23 +812,23 @@ def test_audit_pairs_match_direct_evaluation(case, monkeypatch):
 # ---------------------------------------------------------------------------
 
 def full_sort_sweep(problem, x1, x2):
-    """f_S and its subgradient on the grid x1 x x2, sorting all roots of every row.
+    """f_S and its subgradient at the nodes (x1[i], x2[i, j]), sorting all roots of every row.
 
-    The reference for ``_planar_sweep``: every root, inside [x2[0], x2[-1]]
-    or not, enters one sort and one running sum.
+    The reference for ``_planar_sweep``: every root, inside the row's node
+    range or not, enters one sort and one running sum.
     """
     a = rp.densify(problem.ensemble)
     b = problem.b
     x1 = np.asarray(x1, dtype=np.float64)
-    x2 = np.asarray(x2, dtype=np.float64)
+    x2 = np.broadcast_to(np.asarray(x2, dtype=np.float64), (x1.shape[0], np.shape(x2)[-1]))
     weights = np.column_stack([a[:, 0] * a[:, 0], a[:, 0] * a[:, 1], a[:, 1] * a[:, 1], b])
     swept = (a[:, 1] != 0.0) & (b >= 0.0)
     a1_s, a2_s, root_b = a[swept, 0], a[swept, 1], np.sqrt(b[swept])
     a1_k, b_k, weights_k = a[~swept, 0], b[~swept], weights[~swept]
     start = weights[swept].sum(axis=0)
     steps = np.concatenate([-2.0 * weights[swept], 2.0 * weights[swept]])
-    sums = np.empty((x1.shape[0], x2.shape[0], 4))
-    for i, row in enumerate(x1):
+    sums = np.empty(x2.shape + (4,))
+    for i, (row, nodes) in enumerate(zip(x1, x2)):
         r1 = (-a1_s * row - root_b) / a2_s
         r2 = (-a1_s * row + root_b) / a2_s
         roots = np.concatenate([np.minimum(r1, r2), np.maximum(r1, r2)])
@@ -836,16 +836,15 @@ def full_sort_sweep(problem, x1, x2):
         roots = roots[order]
         running = np.vstack([np.zeros(4), np.cumsum(steps[order], axis=0)])
         # Roots below a node step it fully, roots on it by half.
-        below = running[np.searchsorted(roots, x2, side="left")]
-        upto = running[np.searchsorted(roots, x2, side="right")]
+        below = running[np.searchsorted(roots, nodes, side="left")]
+        upto = running[np.searchsorted(roots, nodes, side="right")]
         u_k = a1_k * row
         sums[i] = (start + np.sign(u_k * u_k - b_k) @ weights_k + 0.5 * (below + upto))
     s11, s12, s22, s_b = np.moveaxis(sums, -1, 0) / problem.m
     p1 = x1[:, None]
-    p2 = x2[None, :]
-    z1 = s11 * p1 + s12 * p2
-    z2 = s12 * p1 + s22 * p2
-    return p1 * z1 + p2 * z2 - s_b, 2.0 * np.stack([z1, z2], axis=-1)
+    z1 = s11 * p1 + s12 * x2
+    z2 = s12 * p1 + s22 * x2
+    return p1 * z1 + x2 * z2 - s_b, 2.0 * np.stack([z1, z2], axis=-1)
 
 
 def problem_with(rows, b):
@@ -932,3 +931,92 @@ def test_audit_pairs_match_the_full_sort_sweep(case, monkeypatch):
         np.testing.assert_allclose(pair.x_p_near, twin.x_p_near, rtol=0.0, atol=1e-12)
         for name in ("subgrad_norm", "pop_grad_norm", "dist", "radius"):
             assert abs(getattr(pair, name) - getattr(twin, name)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# one grid of stacked rows against one sweep per row
+# ---------------------------------------------------------------------------
+
+STACKED_CASES = dict(EDGE_CASES, gaussian_m5000=(planar_problem(5000, seed=8),
+                                                 np.linspace(-1.6, 1.6, 41),
+                                                 np.linspace(-1.3, 1.7, 37)))
+
+
+@pytest.mark.parametrize("case", sorted(STACKED_CASES))
+def test_stacked_rows_sweep_as_one_sweep_per_row(case):
+    problem, x1, x2 = STACKED_CASES[case]
+    shared = np.tile(x2, (x1.shape[0], 1))
+    # Shifts by multiples of 0.5 keep the edge cases' nodes on their roots' lattice.
+    own = x2 + 0.5 * (np.arange(x1.shape[0]) % 3)[:, None]
+    for nodes in (shared, own):
+        with np.errstate(all="raise"):
+            f, zeta = landscape._planar_sweep(problem, x1, nodes)
+            rows = [landscape._planar_sweep(problem, x1[i:i + 1], nodes[i])
+                    for i in range(x1.shape[0])]
+        np.testing.assert_array_equal(f, np.concatenate([row[0] for row in rows]))
+        np.testing.assert_array_equal(zeta, np.concatenate([row[1] for row in rows]))
+    f_1d, zeta_1d = landscape._planar_sweep(problem, x1, x2)
+    f_shared, zeta_shared = landscape._planar_sweep(problem, x1, shared)
+    np.testing.assert_array_equal(f_1d, f_shared)
+    np.testing.assert_array_equal(zeta_1d, zeta_shared)
+    # The oracles read the rows' own nodes too.
+    f_full, zeta_full = full_sort_sweep(problem, x1, own)
+    np.testing.assert_allclose(f, f_full, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(zeta, zeta_full, rtol=1e-12, atol=1e-12)
+    f_direct, zeta_direct = direct_grid(problem, x1, own)
+    assert np.all(np.abs(f - f_direct) <= 1e-12 * (1.0 + np.abs(f_direct)))
+    slack, _ = sign_free_slack(problem, x1, own)
+    assert np.all(np.linalg.norm(zeta - zeta_direct, axis=-1) <= 1e-12 + slack)
+
+
+def test_one_audit_sweeps_the_main_grid_and_each_refinement_round_once(monkeypatch):
+    shapes = []
+    real = landscape._planar_sweep
+
+    def counted(problem, x1, x2):
+        f, zeta = real(problem, x1, x2)
+        shapes.append(f.shape)
+        return f, zeta
+
+    monkeypatch.setattr(landscape, "_planar_sweep", counted)
+    make, half_width, grid_n, cut = AUDIT_CASES["criterion_11"]
+    assert rp.graph_closeness_audit(make(), half_width, grid_n, max_subgrad_norm=cut)
+    # 10 zooms of 9 x 9 nodes per round, stacked as 90 rows
+    assert shapes == [(161, 161), (90, 9), (90, 9)]
+
+
+def zoomed_ratio_max(problem, axis, f_emp):
+    """dhat refined with one sweep per zoom, the nodes listed point by point."""
+    xbar = problem.truth
+
+    def points(u, v):
+        return np.column_stack([g.ravel() for g in np.broadcast_arrays(u[:, None], v)])
+
+    def ratio(pts, f):
+        f_pop, _ = rp.population_grid(xbar, pts[:, 0], pts[:, 1])
+        denom = np.linalg.norm(pts - xbar, axis=1) * np.linalg.norm(pts + xbar, axis=1)
+        ok = denom > 1e-12 * float(xbar @ xbar)
+        return np.where(ok, np.abs(f - f_pop) / np.where(ok, denom, 1.0), 0.0)
+
+    pts = points(axis, axis)
+    r = ratio(pts, f_emp.ravel())
+    best, span = float(r.max()), float(axis[1] - axis[0])
+    for _ in range(2):
+        offs = np.linspace(-span, span, 9)
+        zooms = [(c[0] + offs, c[1] + offs) for c in pts[np.argsort(r)[-10:]]]
+        pts = np.concatenate([points(u, v) for u, v in zooms])
+        r = ratio(pts, np.concatenate([landscape._planar_sweep(problem, u, v)[0].ravel()
+                                       for u, v in zooms]))
+        best = max(best, float(r.max()))
+        span /= 4.0
+    return best
+
+
+@pytest.mark.parametrize("case", sorted(AUDIT_CASES))
+def test_stacked_refinement_rounds_match_one_sweep_per_zoom(case):
+    make, half_width, grid_n, _ = AUDIT_CASES[case]
+    problem = make()
+    axis = np.linspace(-half_width, half_width, grid_n)
+    f_emp = landscape._planar_sweep(problem, axis, axis)[0]
+    assert landscape._deviation_ratio_max(problem, axis, f_emp) == zoomed_ratio_max(
+        problem, axis, f_emp)
