@@ -228,25 +228,19 @@ def _init_and_solve(problem, cfg, seed):
     iterations, init convergence, the matvecs (forward or adjoint products) and
     seconds of each stage, and wall time, their sum.
     """
-    if cfg.max_iters < 0:
-        raise ConfigError(f"max_iters must be at least 0, got {cfg.max_iters}")
     min_value = cfg.min_value
     if min_value is None and problem.noiseless:
         min_value = 0.0
+    solver_cfg = solver.SolverConfig(min_value=min_value, max_iters=cfg.max_iters,
+                                     tol_value=cfg.tol_value, tol_dist=cfg.tol_dist)
     t0 = time.perf_counter()
     report = spectral.spectral_init(problem, spectral.PowerConfig(seed=seed))
     t1 = time.perf_counter()
-    trace = solver.run(problem, report.x0, solver.SolverConfig(
-        min_value=min_value, max_iters=cfg.max_iters, tol_value=cfg.tol_value,
-        tol_dist=cfg.tol_dist))
+    trace = solver.run(problem, report.x0, solver_cfg)
     t2 = time.perf_counter()
     if trace.status == solver.NON_FINITE:
         raise NumericalError("non-finite objective or subgradient in the solve")
     ensure_finite("final iterate", trace.final_x)
-    # A Lanczos application and a solver step each take one forward and one
-    # adjoint product.  init_iters leaves out the first application; the zero
-    # start (r_hat = 0) applies nothing.
-    applications = 0 if report.r_hat == 0.0 else report.power_iters + 1
     entries = {
         "step_rule": "geometric" if min_value is None else "polyak",
         "status": trace.status,
@@ -254,7 +248,8 @@ def _init_and_solve(problem, cfg, seed):
         "init_converged": report.converged,
         "init_iters": report.power_iters,
         "init_residual": _json_scalar(report.residual),
-        "init_matvecs": 2 * applications,
+        "init_matvecs": report.matvecs,
+        # each solver step takes one forward and one adjoint product
         "solve_matvecs": 2 * trace.iterations,
         "init_s": t1 - t0,
         "solve_s": t2 - t1,
@@ -348,13 +343,6 @@ def run_landscape_grid(xbar, half_width, grid_n, out_path):
 # image
 # ---------------------------------------------------------------------------
 
-def _next_pow2(n):
-    p = 1
-    while p < n:
-        p *= 2
-    return p
-
-
 @dataclass(frozen=True)
 class ImageBuffer:
     """An 8-bit image and its padded channel-major vectorization."""
@@ -368,14 +356,11 @@ class ImageBuffer:
     @classmethod
     def from_array(cls, arr):
         arr = np.asarray(arr, dtype=np.uint8)
-        if arr.ndim == 2:
-            h, w, c = arr.shape[0], arr.shape[1], 1
-        elif arr.ndim == 3 and arr.shape[2] == 3:
-            h, w, c = arr.shape[0], arr.shape[1], 3
-        else:
+        if not (arr.ndim == 2 or (arr.ndim == 3 and arr.shape[2] == 3)):
             raise ValueError(f"unsupported image shape {arr.shape}")
+        h, w, c = np.atleast_3d(arr).shape
         return cls(width=w, height=h, channels=c, pixels=arr,
-                   pad_len=_next_pow2(w * h * c))
+                   pad_len=1 << (w * h * c - 1).bit_length())
 
     @property
     def n_samples(self):
@@ -383,21 +368,16 @@ class ImageBuffer:
 
     def to_vector(self):
         """Channel-major float vector, zero-padded to the next power of two."""
-        if self.channels == 1:
-            flat = self.pixels.astype(np.float64).ravel()
-        else:
-            flat = self.pixels.astype(np.float64).transpose(2, 0, 1).ravel()
+        planes = np.moveaxis(self.pixels.reshape(self.height, self.width, self.channels), 2, 0)
         out = np.zeros(self.pad_len)
-        out[: flat.shape[0]] = flat
+        out[: self.n_samples] = planes.ravel()
         return out
 
     def from_vector(self, vec):
         """Clamp to [0, 255], round, and reshape back to image layout."""
         flat = np.clip(np.asarray(vec, dtype=np.float64)[: self.n_samples], 0.0, 255.0)
-        flat = np.rint(flat).astype(np.uint8)
-        if self.channels == 1:
-            return flat.reshape(self.height, self.width)
-        return flat.reshape(3, self.height, self.width).transpose(1, 2, 0)
+        planes = np.rint(flat).astype(np.uint8).reshape(self.channels, self.height, self.width)
+        return np.moveaxis(planes, 0, 2).reshape(self.pixels.shape)
 
 
 def run_image_command(cfg):
@@ -461,23 +441,25 @@ def certificate_as_dict(cert, **extra):
     return {name: _json_scalar(value) for name, value in vars(cert).items()} | extra
 
 
+def _certificate(name, x, xbar, m, threshold, **extra):
+    """Candidate x's certificate entry; non-finite x or scores raise NumericalError."""
+    ensure_finite(name, x)
+    cert = landscape.certify_stationary(x, xbar, xbar.shape[0], m, threshold=threshold)
+    with np.errstate(over="ignore"):  # an overflowing norm fails just below
+        nonzero = np.linalg.norm(x) > 0
+    if nonzero and not all(
+            math.isfinite(v) for v in (cert.block1_score, cert.block2_ratio_score,
+                                       cert.block2_angle_score)):
+        raise NumericalError(f"non-finite certificate scores for {name}")
+    return certificate_as_dict(cert, **extra)
+
+
 def certify_points(points, xbar, m, threshold=10.0):
     """Certificates for a list of candidate points against signal xbar."""
     xbar = np.asarray(xbar, dtype=np.float64)
-    results = []
-    for idx, point in enumerate(points):
-        x = np.asarray(point, dtype=np.float64)
-        ensure_finite(f"candidate {idx}", x)
-        cert = landscape.certify_stationary(x, xbar, xbar.shape[0], m,
-                                            threshold=threshold)
-        with np.errstate(over="ignore"):  # an overflowing norm fails just below
-            nonzero = np.linalg.norm(x) > 0
-        if nonzero and not all(
-                math.isfinite(v) for v in (cert.block1_score, cert.block2_ratio_score,
-                                           cert.block2_angle_score)):
-            raise NumericalError(f"non-finite certificate scores for candidate {idx}")
-        results.append(certificate_as_dict(cert, index=idx))
-    return results
+    return [_certificate(f"candidate {idx}", np.asarray(point, dtype=np.float64), xbar, m,
+                         threshold, index=idx)
+            for idx, point in enumerate(points)]
 
 
 def run_certify(cfg):
@@ -502,11 +484,9 @@ def run_certify(cfg):
             problem, trace, summary = _run_one_seed(cfg, seed)
             if trace.status != solver.MAX_ITERS:
                 continue
-            cert = landscape.certify_stationary(trace.final_x, problem.truth,
-                                                problem.d, problem.m,
-                                                threshold=cfg.threshold)
-            results.append(certificate_as_dict(
-                cert, seed=seed, final_rel_dist=_json_scalar(summary["final_rel_dist"])))
+            results.append(_certificate(
+                f"the final iterate of seed {seed}", trace.final_x, problem.truth, problem.m,
+                cfg.threshold, seed=seed, final_rel_dist=_json_scalar(summary["final_rel_dist"])))
     if cfg.out is not None:
         write_json(cfg.out, results)
     if not cfg.quiet:

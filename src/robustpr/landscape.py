@@ -403,8 +403,9 @@ def certify_stationary(x, xbar, d, m, threshold=10.0):
     so each score is reported in units of scale = (d/m)^(1/4).  The verdict
     picks the better-explained block (block1 splits into near_zero /
     near_signal by which point is closer); it is ``unexplained`` when every
-    normalized score exceeds ``threshold``.  The constants hidden in the
-    bound are not quantified, so treat scores as evidence, not a test.
+    normalized score exceeds ``threshold``, which must be >= 0 (a NaN would
+    turn that verdict off).  The constants hidden in the bound are not
+    quantified, so treat scores as evidence, not a test.
     ``d`` must be the dimension of ``x``: the scale, and so the verdict,
     depends on it.
     """
@@ -412,6 +413,8 @@ def certify_stationary(x, xbar, d, m, threshold=10.0):
         raise ValueError(f"d = {d} does not match the candidate's dimension {len(x)}")
     if m < 1:
         raise ValueError("m must be positive")
+    if not threshold >= 0.0:
+        raise ValueError(f"threshold must be at least 0, got {threshold}")
     scale = (d / m) ** 0.25
     with np.errstate(over="ignore", invalid="ignore"):
         # overflow for absurd candidates surfaces as inf or NaN scores (inf
@@ -454,6 +457,8 @@ def population_grid(xbar, x1, x2):
     xbar = np.asarray(xbar, dtype=np.float64)
     if xbar.shape != (2,):
         raise ValueError("population_grid expects a planar signal")
+    if not np.all(np.isfinite(xbar)):
+        raise ValueError(f"xbar must be finite, got {xbar.tolist()}")
     nb2 = float(xbar @ xbar)
     if nb2 == 0.0:
         raise ValueError("xbar must be nonzero")

@@ -51,14 +51,23 @@ class SolverConfig:
     tol_value: float = 0.0
     tol_dist: float | None = None
 
+    def __post_init__(self):
+        if self.max_iters < 0:
+            raise ValueError(f"max_iters must be at least 0, got {self.max_iters}")
+
 
 @dataclass(frozen=True)
 class PolyakStep:
-    """One evaluated step; ``next_x`` is None if zeta = 0 or f or |zeta| is not finite."""
+    """One evaluated step; ``next_x`` is None if zeta = 0 or f or |zeta| is not finite.
+
+    ``length`` is the norm of the attempted step: (f - min_value) / |zeta|
+    for Polyak's rule (NaN unless |zeta| > 0), the given length otherwise.
+    """
 
     next_x: np.ndarray | None
     f_value: float
     subgrad_norm: float
+    length: float
 
 
 @dataclass(frozen=True)
@@ -90,10 +99,13 @@ def polyak_step(problem, x, min_value=0.0, length=None):
     x = np.asarray(x, dtype=np.float64)
     f, zeta = objective.value_and_subgradient(problem, x)
     gn = float(np.linalg.norm(zeta))
+    polyak = length is None
+    if polyak:
+        length = (f - min_value) / gn if gn > 0 else math.nan
     if gn == 0.0 or not (math.isfinite(f) and math.isfinite(gn)):
-        return PolyakStep(next_x=None, f_value=f, subgrad_norm=gn)
-    coef = (f - min_value) / gn**2 if length is None else length / gn
-    return PolyakStep(next_x=x - coef * zeta, f_value=f, subgrad_norm=gn)
+        return PolyakStep(next_x=None, f_value=f, subgrad_norm=gn, length=length)
+    coef = (f - min_value) / gn**2 if polyak else length / gn
+    return PolyakStep(next_x=x - coef * zeta, f_value=f, subgrad_norm=gn, length=length)
 
 
 def _rel_dist(x, xbar, nb):
@@ -108,12 +120,11 @@ def run(problem, x0, cfg):
     ``step_vanished``, once all its remaining steps together,
     lam * q^k / (1 - q), are no longer than tol_dist * |x|: the iterate can
     then move no further than the distance tolerance (at x0 = 0 that is the
-    first iterate).  One trace record is written per evaluated iterate;
-    ``step_length`` is the norm of the attempted step: (f - min_value) / |zeta|
-    (NaN when the subgradient vanished) or lam * q^k.  ``rel_dist`` is
-    min(|x-xbar|, |x+xbar|) / |xbar| and is present only when the problem
-    stores the signal.  ``final_x`` is the iterate the last record describes
-    (x0 when there is no record).
+    first iterate).  One trace record is written per evaluated iterate; its
+    ``step_length`` is the step's ``PolyakStep.length``, lam * q^k for the
+    geometric rule.  ``rel_dist`` is min(|x-xbar|, |x+xbar|) / |xbar| and is
+    present only when the problem stores the signal.  ``final_x`` is the
+    iterate the last record describes (x0 when there is no record).
     """
     x = np.asarray(x0, dtype=np.float64).copy()
     if x.shape != (problem.d,):
@@ -126,15 +137,13 @@ def run(problem, x0, cfg):
     for k in range(cfg.max_iters):
         trace.final_x = x
         if geometric:
-            length = lam * GEOMETRIC_DECAY**k
-            step = polyak_step(problem, x, length=length)
+            step = polyak_step(problem, x, length=lam * GEOMETRIC_DECAY**k)
         else:
             step = polyak_step(problem, x, cfg.min_value)
-            length = (step.f_value - cfg.min_value) / step.subgrad_norm if step.subgrad_norm > 0 else math.nan
         rel = _rel_dist(x, xbar, nb) if xbar is not None and nb > 0 else None
         trace.records.append(
             TraceRecord(k=k, f_value=step.f_value, subgrad_norm=step.subgrad_norm,
-                        step_length=length, rel_dist=rel)
+                        step_length=step.length, rel_dist=rel)
         )
         if not (math.isfinite(step.f_value) and math.isfinite(step.subgrad_norm)):
             trace.status = NON_FINITE
@@ -146,7 +155,7 @@ def run(problem, x0, cfg):
             trace.status = CONVERGED
             break
         if (geometric and cfg.tol_dist is not None
-                and length / (1.0 - GEOMETRIC_DECAY) <= cfg.tol_dist * np.linalg.norm(x)):
+                and step.length / (1.0 - GEOMETRIC_DECAY) <= cfg.tol_dist * np.linalg.norm(x)):
             trace.status = STEP_VANISHED
             break
         if step.next_x is None:

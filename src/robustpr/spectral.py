@@ -71,6 +71,7 @@ class InitReport:
     power_iters: int
     residual: float
     converged: bool
+    matvecs: int
 
 
 def _check_finite(v):
@@ -205,9 +206,11 @@ def spectral_init(problem, cfg=PowerConfig()):
     r_hat^2 = r^2 * m * d / |A|_F^2 the length of the start.  w_hat stops at
     the ``_ANGLE_TOL`` angle certificate (or at ``cfg.tol``, whichever comes
     first).  Degenerate measurements (r^2 <= 0, e.g. the zero signal) or rows
-    (|A|_F = 0) return the zero vector with n_selected = m, residual 0 and
-    converged set; an r^2 that is not finite gives a non-finite start with
-    converged unset.
+    (|A|_F = 0) return the zero vector with n_selected = m, residual 0,
+    converged set and no products; an r^2 that is not finite gives a
+    non-finite start with converged unset.  ``matvecs`` counts the forward and
+    adjoint products: one of each per operator application, and
+    ``power_iters`` leaves out the first, so 2 * (power_iters + 1).
     """
     b = problem.b
     m, d = problem.m, problem.d
@@ -216,7 +219,7 @@ def spectral_init(problem, cfg=PowerConfig()):
     fro2 = 0.0 if r2 <= 0.0 else squared_frobenius_norm(ens)
     if fro2 == 0.0:
         return InitReport(x0=np.zeros(d), r_hat=0.0, n_selected=m,
-                          power_iters=0, residual=0.0, converged=True)
+                          power_iters=0, residual=0.0, converged=True, matvecs=0)
     mask = selection_mask(b, r2)
 
     def op(v):
@@ -226,4 +229,5 @@ def spectral_init(problem, cfg=PowerConfig()):
     r_hat = math.sqrt(r2 * m * d / fro2)
     return InitReport(x0=r_hat * eig.w, r_hat=r_hat,
                       n_selected=int(mask.sum()), power_iters=eig.iters,
-                      residual=eig.residual, converged=eig.converged and math.isfinite(r2))
+                      residual=eig.residual, converged=eig.converged and math.isfinite(r2),
+                      matvecs=2 * (eig.iters + 1))

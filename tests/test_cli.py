@@ -1,10 +1,24 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from robustpr import netpbm
+from robustpr import cli, netpbm
 from robustpr.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def documented_command_lines():
+    """Every ``robustpr <command> ...`` example in README.md and the demos' comments."""
+    pattern = re.compile(r"^(?:#\s+)?(robustpr [a-z].*)$")
+    lines = []
+    for path in [ROOT / "README.md", *sorted((ROOT / "demos").glob("*.py"))]:
+        lines += [m.group(1) for m in map(pattern.match, path.read_text().splitlines()) if m]
+    return lines
 
 
 def test_solve_round_trip(tmp_path):
@@ -183,6 +197,12 @@ def test_quiet_false_words_print(tmp_path, capsys, word):
      "half_width must be finite and positive, got 0.0"),
     (["solve", "d=8", "m=40", "max_iters=-1"], "max_iters must be at least 0, got -1"),
     (["certify", "d=8", "m=40", "seeds=", "out=c.json"], "certify requires at least one seed"),
+    (["certify", "d=8", "m=40", "seeds=0", "max_iters=1", "threshold=nan", "out=c.json"],
+     "threshold must be at least 0, got nan"),
+    (["certify", "d=8", "m=40", "seeds=0", "max_iters=1", "threshold=-1", "out=c.json"],
+     "threshold must be at least 0, got -1.0"),
+    (["landscape", "xbar=nan,1", "grid_n=5", "out=g.csv"], "xbar must be finite, got [nan, 1.0]"),
+    (["landscape", "xbar=inf,1", "grid_n=5", "out=g.csv"], "xbar must be finite, got [inf, 1.0]"),
 ])
 def test_bad_settings_are_usage_errors(tmp_path, capsys, monkeypatch, args, message):
     monkeypatch.chdir(tmp_path)
@@ -209,3 +229,13 @@ def test_each_command_prints_its_line(tmp_path, capsys):
     out = printed("image", f"input={src}", f"output={tmp_path/'o.pgm'}", "k=3", "seed=2")
     assert out.startswith(f"image {src}: status=")
     assert out.rstrip().endswith("exact=1.0000")
+
+
+def test_the_documentation_shows_every_command():
+    assert {line.split()[1] for line in documented_command_lines()} == set(cli._COMMANDS)
+
+
+@pytest.mark.parametrize("line", documented_command_lines())
+def test_documented_command_lines_parse(line):
+    # Parses the example's command and settings without running it.
+    cli._load_config(cli._parser().parse_args(shlex.split(line)[1:]))

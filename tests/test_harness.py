@@ -259,11 +259,15 @@ def _count_products(monkeypatch):
     return counts
 
 
-@pytest.mark.parametrize("max_iters, status", [(300, "converged"), (5, "max_iters")])
-def test_summary_counts_the_matvecs_of_each_stage(tmp_path, monkeypatch, max_iters, status):
+@pytest.mark.parametrize("max_iters, status, ensemble", [
+    (300, "converged", {}), (5, "max_iters", {}),
+    (300, "converged", {"kind": "hadamard", "l": 64, "k": 3})],
+    ids=["300-converged", "5-max_iters", "sketch"])
+def test_summary_counts_the_matvecs_of_each_stage(tmp_path, monkeypatch, max_iters, status,
+                                                  ensemble):
     counts = _count_products(monkeypatch)
     summary = harness.run_solve_experiment(
-        solve_cfg(tmp_path, seeds=[0], max_iters=max_iters))[0]
+        solve_cfg(tmp_path, seeds=[0], max_iters=max_iters, **ensemble))[0]
     assert summary["status"] == status
     assert summary["init_matvecs"] == counts["init"] == 2 * (summary["init_iters"] + 1)
     assert summary["solve_matvecs"] == counts["solve"] == 2 * summary["iterations"]
@@ -610,6 +614,25 @@ def test_run_certify_harvests_capped_runs(tmp_path):
     for r in results:
         assert r["verdict"] in (rp.NEAR_SIGNAL, rp.NEAR_ZERO,
                                 rp.NEAR_ORTHOGONAL_RING, rp.UNEXPLAINED)
+
+
+@pytest.mark.parametrize("mode", ["file", "harvest"])
+def test_run_certify_rejects_non_finite_scores_in_both_modes(tmp_path, monkeypatch, mode):
+    def inf_scores(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs), block1_score=math.inf)
+
+    real = landscape.certify_stationary
+    monkeypatch.setattr(landscape, "certify_stationary", inf_scores)
+    settings = {"d": "15", "m": "33", "seeds": "0", "max_iters": "5"}
+    if mode == "file":
+        (tmp_path / "cand.json").write_text("[[1.0, 2.0]]")
+        (tmp_path / "truth.json").write_text("[1.0, 1.0]")
+        settings = {"candidates": str(tmp_path / "cand.json"),
+                    "truth": str(tmp_path / "truth.json"), "m": "33"}
+    cfg = harness.build_config("certify", {**settings, "out": str(tmp_path / "c.json")})
+    with pytest.raises(harness.NumericalError, match="non-finite certificate scores"):
+        harness.run_certify(cfg)
+    assert not (tmp_path / "c.json").exists()
 
 
 def test_certify_points_rejects_non_finite_scores():

@@ -517,6 +517,16 @@ def test_certify_rejects_a_zero_signal_and_no_measurements():
         rp.certify_stationary(np.ones(2), np.ones(2), 2, 0)
 
 
+@pytest.mark.parametrize("threshold", [math.nan, -1.0])
+def test_certify_rejects_a_threshold_that_is_not_at_least_zero(threshold):
+    # A NaN threshold used to turn the unexplained verdict off.
+    x, xbar = np.array([10.0, 0, 0, 0, 0]), np.array([1.0, 0, 0, 0, 0])
+    assert rp.certify_stationary(x, xbar, 5, 30, threshold=10.0).verdict == rp.UNEXPLAINED
+    assert rp.certify_stationary(x, xbar, 5, 30, threshold=0.0).verdict == rp.UNEXPLAINED
+    with pytest.raises(ValueError, match="threshold must be at least 0"):
+        rp.certify_stationary(x, xbar, 5, 30, threshold=threshold)
+
+
 def test_certify_rejects_a_dimension_that_is_not_the_candidates():
     xbar = np.array([1.0, 1.0])
     with pytest.raises(ValueError, match="does not match"):
@@ -545,6 +555,12 @@ def test_population_grid_matches_pointwise_functions():
                                             rel=1e-12, abs=1e-12)
         g = np.linalg.norm(rp.population_gradient(x, xbar))
         assert g_grid[idx] == pytest.approx(g, rel=1e-10, abs=1e-12)
+
+
+@pytest.mark.parametrize("xbar", [[math.nan, 1.0], [math.inf, 1.0], [1.0, -math.inf]])
+def test_population_grid_rejects_a_non_finite_signal(xbar):
+    with pytest.raises(ValueError, match="xbar must be finite"):
+        rp.population_grid(xbar, np.zeros((1, 1)), np.zeros(1))
 
 
 def test_population_grid_nan_exactly_on_nonsmooth_collinear_cells():

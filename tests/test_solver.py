@@ -74,6 +74,29 @@ def test_run_max_iters_zero_returns_start():
     np.testing.assert_array_equal(trace.final_x, x0)
 
 
+def test_solver_config_rejects_a_negative_iteration_budget():
+    with pytest.raises(ValueError, match="max_iters must be at least 0, got -1"):
+        rp.SolverConfig(max_iters=-1)
+
+
+@pytest.mark.parametrize("rule", ["polyak", "vanished", "geometric"])
+def test_step_length_is_the_recorded_step_length(rule):
+    # Replays the run's steps: each record's step_length is the length that
+    # polyak_step reports for the same iterate.
+    p = corrupted_problem(0.15, 1, d=20, m=160)
+    x0 = {"polyak": np.ones(20), "vanished": np.zeros(20), "geometric": np.ones(20)}[rule]
+    min_value = None if rule == "geometric" else 0.0
+    trace = rp.run(p, x0, rp.SolverConfig(min_value=min_value, max_iters=8))
+    assert trace.iterations == (1 if rule == "vanished" else 8)
+    x, lam = x0, 0.1 * np.linalg.norm(x0)
+    for r in trace.records:
+        length = lam * 0.95**r.k if rule == "geometric" else None
+        step = rp.polyak_step(p, x, min_value, length)
+        np.testing.assert_equal(step.length, r.step_length)
+        x = step.next_x
+    assert math.isnan(trace.records[-1].step_length) == (rule == "vanished")
+
+
 def test_capped_run_returns_the_iterate_its_last_record_describes():
     p = seeded_problem(15, 33, seed=0)
     trace = rp.run(p, np.ones(15), rp.SolverConfig(max_iters=5))

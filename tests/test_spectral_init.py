@@ -164,7 +164,7 @@ def test_spectral_init_all_zero_measurements():
     np.testing.assert_array_equal(report.x0, np.zeros(4))
     assert report.n_selected == problem.m
     assert report.residual == 0.0
-    assert report.power_iters == 0
+    assert report.power_iters == report.matvecs == 0
 
 
 def test_spectral_init_zero_rows_give_the_zero_start():
@@ -173,7 +173,7 @@ def test_spectral_init_zero_rows_give_the_zero_start():
                                  rows=np.zeros((6, 3)))
     report = rp.spectral_init(rp.PhaseProblem(ensemble=ens, b=np.ones(6)))
     np.testing.assert_array_equal(report.x0, np.zeros(3))
-    assert (report.r_hat, report.n_selected, report.power_iters) == (0.0, 6, 0)
+    assert (report.r_hat, report.n_selected, report.power_iters, report.matvecs) == (0.0, 6, 0, 0)
 
 
 def test_selection_fallback_for_constant_measurements():
@@ -269,6 +269,7 @@ def test_spectral_init_operator_applications_at_benchmark_shape(monkeypatch):
     report = rp.spectral_init(bench_shaped_problem(), rp.PowerConfig(seed=0))
     assert report.converged
     assert len(calls) == report.power_iters + 1
+    assert report.matvecs == 2 * len(calls)
     assert len(calls) <= 120
 
 
