@@ -42,13 +42,13 @@ for seed in range(5):
     ens = rp.gaussian_ensemble(d, m, seed=seed)
     xbar = rp.rng_for(seed, 99).standard_normal(d)
     problem = rp.measure(ens, xbar)
-    start = rp.spectral_init(problem, rp.PowerConfig(seed=seed))
+    start = rp.spectral_init(problem, seed=seed)
     trace = rp.run(problem, start.x0, rp.SolverConfig(max_iters=2000, tol_dist=1e-10))
     rel = trace.records[-1].rel_dist
     if rel <= 1e-2:
         print(f"  seed {seed}: converged (rel dist {rel:.1e}), nothing to certify")
         continue
-    cert = rp.certify_stationary(trace.final_x, xbar, d, m)
+    cert = rp.certify_stationary(trace.final_x, xbar, m)
     print(f"  seed {seed}: stagnated at rel dist {rel:.2f}; verdict {cert.verdict} "
           f"(scores {cert.block1_score:.2f} / {cert.block2_ratio_score:.2f} / "
           f"{cert.block2_angle_score:.2f}, scale {cert.scale:.2f})")

@@ -55,7 +55,6 @@ from .solver import (
 from .spectral import (
     EigenResult,
     InitReport,
-    PowerConfig,
     min_eigenvector,
     spectral_init,
 )

@@ -234,7 +234,7 @@ def _init_and_solve(problem, cfg, seed):
     solver_cfg = solver.SolverConfig(min_value=min_value, max_iters=cfg.max_iters,
                                      tol_value=cfg.tol_value, tol_dist=cfg.tol_dist)
     t0 = time.perf_counter()
-    report = spectral.spectral_init(problem, spectral.PowerConfig(seed=seed))
+    report = spectral.spectral_init(problem, seed)
     t1 = time.perf_counter()
     trace = solver.run(problem, report.x0, solver_cfg)
     t2 = time.perf_counter()
@@ -444,7 +444,7 @@ def certificate_as_dict(cert, **extra):
 def _certificate(name, x, xbar, m, threshold, **extra):
     """Candidate x's certificate entry; non-finite x or scores raise NumericalError."""
     ensure_finite(name, x)
-    cert = landscape.certify_stationary(x, xbar, xbar.shape[0], m, threshold=threshold)
+    cert = landscape.certify_stationary(x, xbar, m, threshold=threshold)
     with np.errstate(over="ignore"):  # an overflowing norm fails just below
         nonzero = np.linalg.norm(x) > 0
     if nonzero and not all(
@@ -468,8 +468,10 @@ def run_certify(cfg):
     File mode needs ``candidates`` (JSON list of vectors), ``truth`` (JSON
     vector), and ``m``.  Without a candidates file, the solve experiment runs
     per seed and the final iterates of runs that hit the iteration cap are
-    certified against their own signals.
+    certified against their own signals.  The threshold is checked first, so
+    a bad one fails before any solve, also when no run is certified.
     """
+    landscape.check_threshold(cfg.threshold)
     if cfg.candidates is not None:
         _require(cfg, "truth", "m")
         with open(cfg.candidates, "r", encoding="utf-8") as fh:
@@ -502,10 +504,6 @@ def run_certify(cfg):
 def run_probe(cfg):
     """Run one regularity probe on a seeded Gaussian problem and report JSON."""
     _require(cfg, "probe", "d", "m")
-    if cfg.samples < 1:
-        raise ConfigError(f"samples must be at least 1, got {cfg.samples}")
-    if cfg.probe == "weak_convexity" and not 0.0 < cfg.radius < math.inf:
-        raise ConfigError(f"radius must be finite and positive, got {cfg.radius}")
     problem = _seeded_problem(cfg, cfg.seed)
     out = {"probe": cfg.probe, "d": cfg.d, "m": cfg.m, "seed": cfg.seed,
            "samples": cfg.samples}

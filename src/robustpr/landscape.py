@@ -392,7 +392,13 @@ def mc_corrupted_population_value(x, xbar, p_fail, scale, n, seed, kind="gaussia
     return _mc_mean(np.abs(core - errors))
 
 
-def certify_stationary(x, xbar, d, m, threshold=10.0):
+def check_threshold(threshold):
+    """Raise unless ``threshold`` >= 0: a NaN would turn the unexplained verdict off."""
+    if not threshold >= 0.0:
+        raise ValueError(f"threshold must be at least 0, got {threshold}")
+
+
+def certify_stationary(x, xbar, m, threshold=10.0):
     """Score a candidate point against the stationary-set geometry.
 
     Stationary points of the subsampled objective satisfy (up to constants)
@@ -400,21 +406,22 @@ def certify_stationary(x, xbar, d, m, threshold=10.0):
         block1_score <= (d/m)^(1/4)      near {0, +-xbar}, or
         both block2 scores <= (d/m)^(1/4)  near the orthogonal ring,
 
-    so each score is reported in units of scale = (d/m)^(1/4).  The verdict
-    picks the better-explained block (block1 splits into near_zero /
-    near_signal by which point is closer); it is ``unexplained`` when every
-    normalized score exceeds ``threshold``, which must be >= 0 (a NaN would
-    turn that verdict off).  The constants hidden in the bound are not
-    quantified, so treat scores as evidence, not a test.
-    ``d`` must be the dimension of ``x``: the scale, and so the verdict,
-    depends on it.
+    with d the length of ``x``, which must be that of ``xbar``; so each score
+    is reported in units of scale = (d/m)^(1/4).  The verdict picks the
+    better-explained block (block1 splits into near_zero / near_signal by
+    which point is closer); it is ``unexplained`` when every normalized score
+    exceeds ``threshold`` (see ``check_threshold``).  The constants hidden in
+    the bound are not quantified, so treat scores as evidence, not a test.
     """
-    if d != len(x):
-        raise ValueError(f"d = {d} does not match the candidate's dimension {len(x)}")
+    x = np.asarray(x, dtype=np.float64)
+    xbar = np.asarray(xbar, dtype=np.float64)
+    if x.ndim != 1 or x.shape != xbar.shape:
+        raise ValueError(f"the candidate has shape {x.shape} and xbar {xbar.shape}:"
+                         " they must be vectors of one length")
     if m < 1:
         raise ValueError("m must be positive")
-    if not threshold >= 0.0:
-        raise ValueError(f"threshold must be at least 0, got {threshold}")
+    check_threshold(threshold)
+    d = x.shape[0]
     scale = (d / m) ** 0.25
     with np.errstate(over="ignore", invalid="ignore"):
         # overflow for absurd candidates surfaces as inf or NaN scores (inf

@@ -1,6 +1,7 @@
 """Measurement ensembles for real phase retrieval.
 
-Two ensemble kinds are supported:
+An ensemble holds one array, from which it reads its kind and sizes.  Two
+kinds are supported:
 
 * dense Gaussian: an explicit m x d matrix with i.i.d. standard normal rows,
 * Hadamard-sign sketch: k blocks H S_j, where H is the symmetric normalized
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,23 +55,36 @@ def _is_power_of_two(n):
 class MeasurementEnsemble:
     """Rows a_i of the measurement map, dense or implicit.
 
-    For ``DENSE_GAUSSIAN``, ``rows`` holds the m x d matrix.  For
-    ``HADAMARD_SKETCH``, ``sign_diagonals`` holds the k +-1 diagonals as a
-    (k, l) array and d = l, m = k * l.
+    Exactly one nonempty array is given.  ``rows``, an m x d matrix, makes a
+    ``DENSE_GAUSSIAN`` ensemble; ``sign_diagonals``, the k +-1 diagonals as
+    a (k, l) array with l a power of two, makes a ``HADAMARD_SKETCH`` with
+    d = l and m = k * l.  ``kind``, ``d`` and ``m`` are read from that array
+    once, here.
     """
 
-    kind: str
-    d: int
-    m: int
-    seed: int
     rows: np.ndarray | None = None
     sign_diagonals: np.ndarray | None = None
+    kind: str = field(init=False)
+    d: int = field(init=False)
+    m: int = field(init=False)
 
     def __post_init__(self):
-        if self.rows is not None:
-            self.rows.setflags(write=False)
-        if self.sign_diagonals is not None:
-            self.sign_diagonals.setflags(write=False)
+        if (self.rows is None) == (self.sign_diagonals is None):
+            raise ValueError("give exactly one of rows and sign_diagonals")
+        array = self.rows if self.sign_diagonals is None else self.sign_diagonals
+        if array.ndim != 2 or array.size == 0:
+            raise ValueError(f"expected a nonempty 2-D array, got shape {array.shape}")
+        if self.sign_diagonals is None:
+            kind, (m, d) = DENSE_GAUSSIAN, array.shape
+        else:
+            k, d = array.shape
+            if not _is_power_of_two(d):
+                raise ValueError(f"sketch length must be a power of two, got {d}")
+            kind, m = HADAMARD_SKETCH, k * d
+        array.setflags(write=False)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "m", m)
 
 
 @dataclass(frozen=True)
@@ -137,19 +151,15 @@ def gaussian_ensemble(d, m, seed, max_bytes=DENSE_BUDGET_BYTES):
             f"dense {m}x{d} ensemble needs {nbytes} bytes, budget is {max_bytes}"
         )
     rows = rng_for(seed, _TAG_ROWS).standard_normal((m, d))
-    return MeasurementEnsemble(kind=DENSE_GAUSSIAN, d=d, m=m, seed=int(seed), rows=rows)
+    return MeasurementEnsemble(rows=rows)
 
 
 def hadamard_ensemble(l, k, seed):
     """Sketch [H S_1 ... H S_k]^T with k i.i.d. uniform +-1 diagonals of length l."""
-    if not _is_power_of_two(l):
-        raise ValueError(f"l must be a power of two, got {l}")
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     signs = 2.0 * rng_for(seed, _TAG_SIGNS).integers(0, 2, size=(k, l)).astype(np.float64) - 1.0
-    return MeasurementEnsemble(
-        kind=HADAMARD_SKETCH, d=l, m=k * l, seed=int(seed), sign_diagonals=signs
-    )
+    return MeasurementEnsemble(sign_diagonals=signs)
 
 
 # Radix of the blocked transform and the unnormalized Sylvester H_16, the

@@ -9,8 +9,8 @@ i-th residual and sign(0) := 0; both take one x or an (N, d) block of points,
 one per row.  The probes estimate the weak-convexity modulus, the sharpness
 slope, and the deviation of the empirical absolute product
 (1/m) sum_i |<a_i,v><a_i,w>| from its Gaussian mean.  Probe results are
-empirical extremes over finite seeded samples: statistical evidence, not
-certificates.
+empirical extremes over finite seeded samples, at least one: statistical
+evidence, not certificates.
 """
 
 from __future__ import annotations
@@ -67,6 +67,11 @@ def subgradient(problem, x):
     return _chain_rule(problem, *_residuals(problem, x))
 
 
+def _require_samples(n):
+    if n < 1:
+        raise ValueError(f"samples must be at least 1, got {n}")
+
+
 def _require_truth(problem):
     if problem.truth is None:
         raise ValueError("probe requires a problem with a known signal")
@@ -89,7 +94,12 @@ def weak_convexity_probe(problem, n_triples, radius, seed):
     returns the empirical weak-convexity modulus
 
         rho_hat = max(0, max over pairs of 2 (f(x) + <zeta_x, y-x> - f(y)) / |y-x|^2).
+
+    ``n_triples`` must be at least 1 and ``radius`` finite and positive.
     """
+    _require_samples(n_triples)
+    if not 0.0 < radius < math.inf:
+        raise ValueError(f"radius must be finite and positive, got {radius}")
     xbar = _require_truth(problem)
     nb = np.linalg.norm(xbar)
     r = radius * nb if nb > 0 else radius
@@ -114,8 +124,10 @@ def sharpness_probe(problem, n_points, seed):
 
     Half the samples are local perturbations of +-xbar (radius uniform below
     |xbar|), half are global Gaussian directions rescaled to norm up to
-    3 |xbar|.  Points indistinguishable from +-xbar are skipped.
+    3 |xbar|.  Points indistinguishable from +-xbar are skipped.  ``n_points``
+    must be at least 1.
     """
+    _require_samples(n_points)
     xbar = _require_truth(problem)
     if not problem.noiseless:
         raise ValueError("sharpness probe requires noiseless measurements")
@@ -150,8 +162,10 @@ def concentration_probe(ensemble, n_pairs, seed):
     """Worst deviation of (1/m) sum_i |<a_i,v><a_i,w>| from its Gaussian mean.
 
     Draws ``n_pairs`` pairs of random unit vectors and returns the maximum
-    absolute gap between the empirical average and E|<a,v><a,w>|.
+    absolute gap between the empirical average and E|<a,v><a,w>|.  ``n_pairs``
+    must be at least 1.
     """
+    _require_samples(n_pairs)
     if ensemble.kind != DENSE_GAUSSIAN:
         raise ValueError("concentration probe is defined for dense Gaussian ensembles")
     rng = rng_for(seed, _TAG_CONCENTRATION)

@@ -19,7 +19,8 @@ materialize rows.  The smallest eigenpair comes from a Lanczos iteration with
 full reorthogonalization on a fixed-size Krylov basis, restarted from the
 bottom Ritz vector.  The start needs only a direction, so the init stops as
 soon as the Davis-Kahan bound sin(angle) <= |residual| / gap certifies that
-direction to _ANGLE_TOL, the gap read from the two lowest Ritz values.
+direction to _ANGLE_TOL, the gap read from the two lowest Ritz values.  The
+init's one setting is the seed of the Lanczos start vector.
 """
 
 from __future__ import annotations
@@ -45,13 +46,8 @@ _CHI2_1_MEDIAN = 0.4549364231195728
 # the subgradient method needs a start within a constant relative distance
 # of +-xbar, not an eigenvector to rounding.
 _ANGLE_TOL = 0.01
-
-
-@dataclass(frozen=True)
-class PowerConfig:
-    max_iters: int = 5000
-    tol: float = 1e-8
-    seed: int = 0
+# Cap on the operator applications after the first.
+_MAX_ITERS = 5000
 
 
 @dataclass(frozen=True)
@@ -80,7 +76,7 @@ def _check_finite(v):
     return v
 
 
-def min_eigenvector(op, d, cfg=PowerConfig(), angle_tol=None):
+def min_eigenvector(op, d, *, seed=0, tol=1e-8, max_iters=_MAX_ITERS, angle_tol=None):
     """Smallest eigenpair of a symmetric operator given as a callable.
 
     The operator may be indefinite: the eigenvalue found is the algebraically
@@ -103,10 +99,10 @@ def min_eigenvector(op, d, cfg=PowerConfig(), angle_tol=None):
     ``converged`` reports that the last residual met the stop in force: the
     tol rule alone by default, either rule with ``angle_tol``.
     ``iters`` counts the ``op`` applications after the first and is capped by
-    ``cfg.max_iters``.  The sign is normalized so the largest-magnitude
-    coordinate is nonnegative.
+    ``max_iters``; ``seed`` keys the start vector.  The sign is normalized so
+    the largest-magnitude coordinate is nonnegative.
     """
-    rng = rng_for(cfg.seed, _TAG_POWER_START)
+    rng = rng_for(seed, _TAG_POWER_START)
     w = rng.standard_normal(d)
     w /= np.linalg.norm(w)
 
@@ -121,11 +117,11 @@ def min_eigenvector(op, d, cfg=PowerConfig(), angle_tol=None):
     gap = 0.0
 
     def stop():
-        return residual <= max(cfg.tol * (1.0 + top), (angle_tol or 0.0) * gap)
+        return residual <= max(tol * (1.0 + top), (angle_tol or 0.0) * gap)
 
     iters = 0
     while not stop():
-        n = min(dim, cfg.max_iters - iters)
+        n = min(dim, max_iters - iters)
         if n < 2:
             break
         basis[0] = w
@@ -198,14 +194,16 @@ def _median(b):
     return float(0.5 * (part[(n - 1) // 2] + part[n // 2]))
 
 
-def spectral_init(problem, cfg=PowerConfig()):
+def spectral_init(problem, seed=0):
     """Initial point r_hat * w_hat for the subgradient method.
 
     The per-row scale r^2 is mean(b) for noiseless problems and median(b) /
     median of chi-squared(1) for corrupted ones; it sets the selection, and
-    r_hat^2 = r^2 * m * d / |A|_F^2 the length of the start.  w_hat stops at
-    the ``_ANGLE_TOL`` angle certificate (or at ``cfg.tol``, whichever comes
-    first).  Degenerate measurements (r^2 <= 0, e.g. the zero signal) or rows
+    r_hat^2 = r^2 * m * d / |A|_F^2 the length of the start.  w_hat comes from
+    the Lanczos start keyed by ``seed`` and stops at the ``_ANGLE_TOL`` angle
+    certificate (or at ``min_eigenvector``'s residual tol, whichever comes
+    first), after at most ``_MAX_ITERS`` further operator applications.
+    Degenerate measurements (r^2 <= 0, e.g. the zero signal) or rows
     (|A|_F = 0) return the zero vector with n_selected = m, residual 0,
     converged set and no products; an r^2 that is not finite gives a
     non-finite start with converged unset.  ``matvecs`` counts the forward and
@@ -225,7 +223,7 @@ def spectral_init(problem, cfg=PowerConfig()):
     def op(v):
         return apply_adjoint(ens, mask * apply(ens, v))
 
-    eig = min_eigenvector(op, d, cfg, angle_tol=_ANGLE_TOL)
+    eig = min_eigenvector(op, d, seed=seed, max_iters=_MAX_ITERS, angle_tol=_ANGLE_TOL)
     r_hat = math.sqrt(r2 * m * d / fro2)
     return InitReport(x0=r_hat * eig.w, r_hat=r_hat,
                       n_selected=int(mask.sum()), power_iters=eig.iters,

@@ -37,7 +37,7 @@ def convergence_study():
         runs = []
         for seed in STUDY_SEEDS:
             problem = seeded_problem(D_STUDY, m, seed)
-            start = rp.spectral_init(problem, rp.PowerConfig(seed=seed))
+            start = rp.spectral_init(problem, seed=seed)
             trace = rp.run(problem, start.x0,
                            rp.SolverConfig(max_iters=2000, tol_dist=1e-10))
             runs.append((problem, trace))
@@ -244,8 +244,7 @@ def test_criterion_10_certification_behavior(convergence_study):
     for problem, trace in convergence_study[2.2]:
         rels = [r.rel_dist for r in trace.records]
         if min(rels) > 1e-2:
-            certs.append(rp.certify_stationary(trace.final_x, problem.truth,
-                                               problem.d, problem.m))
+            certs.append(rp.certify_stationary(trace.final_x, problem.truth, problem.m))
     assert certs, "no stagnating runs harvested"
     explained = [c for c in certs if c.verdict != rp.UNEXPLAINED]
     assert len(explained) >= math.ceil(2 * len(certs) / 3)
@@ -267,7 +266,7 @@ def test_criterion_10_certification_behavior(convergence_study):
             u -= (u @ xbar) / nb**2 * xbar
             ring = c * nb * u / np.linalg.norm(u)
             x = _refine_subgradient_minimum(problem, ring, seed=seed)
-            cert = rp.certify_stationary(x, xbar, d, problem.m)
+            cert = rp.certify_stationary(x, xbar, problem.m)
             max_block2.append(max(cert.block2_ratio_score, cert.block2_angle_score))
         # net decrease across the sweep plus a monotone adjacent window
         assert max_block2[2] < max_block2[0]

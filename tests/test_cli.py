@@ -156,6 +156,15 @@ def test_certify_a_tiny_signal_overflows_as_a_numerical_failure(tmp_path, capsys
     assert "non-finite certificate scores for candidate 0" in capsys.readouterr().err
 
 
+def test_certify_rejects_a_candidate_whose_length_is_not_the_truths(tmp_path, capsys):
+    out = tmp_path / "c.json"
+    args = _certify_files(tmp_path, [1.0, 2.0, 3.0], [1.0, 1.0])
+    assert main(["certify", *args, f"out={out}", "quiet=true"]) == 1
+    err = capsys.readouterr().err
+    assert "(3,)" in err and "(2,)" in err
+    assert not out.exists()
+
+
 def test_certify_harvest_skips_converged_seeds(tmp_path):
     out = tmp_path / "c.json"
     assert main(["certify", "d=10", "m=80", "seeds=0,1,2", "max_iters=2000",
@@ -203,6 +212,9 @@ def test_quiet_false_words_print(tmp_path, capsys, word):
      "threshold must be at least 0, got -1.0"),
     (["landscape", "xbar=nan,1", "grid_n=5", "out=g.csv"], "xbar must be finite, got [nan, 1.0]"),
     (["landscape", "xbar=inf,1", "grid_n=5", "out=g.csv"], "xbar must be finite, got [inf, 1.0]"),
+    # The seed converges, so no run is certified: the threshold is checked first.
+    (["certify", "d=10", "m=80", "seeds=0", "threshold=nan", "out=c.json"],
+     "threshold must be at least 0, got nan"),
 ])
 def test_bad_settings_are_usage_errors(tmp_path, capsys, monkeypatch, args, message):
     monkeypatch.chdir(tmp_path)
@@ -239,3 +251,10 @@ def test_the_documentation_shows_every_command():
 def test_documented_command_lines_parse(line):
     # Parses the example's command and settings without running it.
     cli._load_config(cli._parser().parse_args(shlex.split(line)[1:]))
+
+
+def test_readme_quick_start_runs(capsys):
+    (block,) = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    exec(compile(block, "README.md", "exec"), {})
+    status, verdict = capsys.readouterr().out.splitlines()[::2]
+    assert status.startswith("converged ") and verdict == "near_signal"

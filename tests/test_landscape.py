@@ -479,7 +479,7 @@ def test_mc_domain_checks():
 
 def test_certify_signal_point():
     xbar = np.array([1.0, 2.0])
-    cert = rp.certify_stationary(xbar, xbar, 2, 50)
+    cert = rp.certify_stationary(xbar, xbar, 50)
     assert cert.block1_score == 0.0
     assert cert.verdict == rp.NEAR_SIGNAL
 
@@ -487,7 +487,7 @@ def test_certify_signal_point():
 def test_certify_ring_point():
     xbar = np.array([1.0, 1.0])
     c = rp.critical_ratio()
-    cert = rp.certify_stationary(c * np.array([-1.0, 1.0]), xbar, 2, 50)
+    cert = rp.certify_stationary(c * np.array([-1.0, 1.0]), xbar, 50)
     assert cert.block2_ratio_score <= 1e-12
     assert cert.block2_angle_score <= 1e-12
     assert cert.verdict == rp.NEAR_ORTHOGONAL_RING
@@ -495,7 +495,7 @@ def test_certify_ring_point():
 
 def test_certify_zero_point():
     xbar = np.array([1.0, 1.0])
-    cert = rp.certify_stationary(np.zeros(2), xbar, 2, 50)
+    cert = rp.certify_stationary(np.zeros(2), xbar, 50)
     assert cert.verdict == rp.NEAR_ZERO
     assert cert.block1_score == 0.0
     assert math.isinf(cert.block2_ratio_score)
@@ -503,7 +503,7 @@ def test_certify_zero_point():
 
 def test_certify_far_collinear_point_is_unexplained_at_strict_threshold():
     xbar = np.array([1.0, 1.0])
-    cert = rp.certify_stationary(3.0 * xbar, xbar, 2, 2, threshold=1.0)
+    cert = rp.certify_stationary(3.0 * xbar, xbar, 2, threshold=1.0)
     assert cert.scale == 1.0
     for score in (cert.block1_score, cert.block2_ratio_score, cert.block2_angle_score):
         assert score > cert.scale
@@ -512,31 +512,24 @@ def test_certify_far_collinear_point_is_unexplained_at_strict_threshold():
 
 def test_certify_rejects_a_zero_signal_and_no_measurements():
     with pytest.raises(ValueError, match="xbar must be nonzero"):
-        rp.certify_stationary(np.ones(2), np.zeros(2), 2, 50)
+        rp.certify_stationary(np.ones(2), np.zeros(2), 50)
     with pytest.raises(ValueError, match="m must be positive"):
-        rp.certify_stationary(np.ones(2), np.ones(2), 2, 0)
+        rp.certify_stationary(np.ones(2), np.ones(2), 0)
 
 
 @pytest.mark.parametrize("threshold", [math.nan, -1.0])
 def test_certify_rejects_a_threshold_that_is_not_at_least_zero(threshold):
     # A NaN threshold used to turn the unexplained verdict off.
     x, xbar = np.array([10.0, 0, 0, 0, 0]), np.array([1.0, 0, 0, 0, 0])
-    assert rp.certify_stationary(x, xbar, 5, 30, threshold=10.0).verdict == rp.UNEXPLAINED
-    assert rp.certify_stationary(x, xbar, 5, 30, threshold=0.0).verdict == rp.UNEXPLAINED
+    assert rp.certify_stationary(x, xbar, 30, threshold=10.0).verdict == rp.UNEXPLAINED
+    assert rp.certify_stationary(x, xbar, 30, threshold=0.0).verdict == rp.UNEXPLAINED
     with pytest.raises(ValueError, match="threshold must be at least 0"):
-        rp.certify_stationary(x, xbar, 5, 30, threshold=threshold)
-
-
-def test_certify_rejects_a_dimension_that_is_not_the_candidates():
-    xbar = np.array([1.0, 1.0])
-    with pytest.raises(ValueError, match="does not match"):
-        rp.certify_stationary(xbar, xbar, 3, 50)
-    assert rp.certify_stationary(xbar, xbar, 2, 50).verdict == rp.NEAR_SIGNAL
+        rp.certify_stationary(x, xbar, 30, threshold=threshold)
 
 
 def test_certify_scale_decreases_with_m():
     xbar = np.array([1.0, 1.0])
-    scales = [rp.certify_stationary(xbar, xbar, 2, m).scale for m in (2, 20, 200)]
+    scales = [rp.certify_stationary(xbar, xbar, m).scale for m in (2, 20, 200)]
     assert scales[0] > scales[1] > scales[2]
 
 
@@ -731,8 +724,7 @@ def sign_free_slack(problem, x1, x2):
 
 def ensemble_with_rows(rows):
     rows = np.array(rows, dtype=np.float64)
-    return rp.MeasurementEnsemble(kind=rp.DENSE_GAUSSIAN, d=2, m=rows.shape[0], seed=0,
-                                  rows=rows)
+    return rp.MeasurementEnsemble(rows=rows)
 
 
 NODE_AXIS = np.linspace(-2.0, 2.0, 41)   # holds (1, 0) and (-1, 0) as nodes

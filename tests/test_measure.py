@@ -124,23 +124,49 @@ def test_fwht_rejects_bad_length():
         rp.fwht(np.ones((4, 4)))
 
 
+def test_ensemble_reads_its_kind_and_sizes_from_its_array():
+    dense = rp.MeasurementEnsemble(rows=np.zeros((5, 3)))
+    assert (dense.kind, dense.d, dense.m) == (rp.DENSE_GAUSSIAN, 3, 5)
+    sketch = rp.MeasurementEnsemble(sign_diagonals=np.ones((3, 8)))
+    assert (sketch.kind, sketch.d, sketch.m) == (rp.HADAMARD_SKETCH, 8, 24)
+    # set once at construction, not recomputed on every product
+    assert {"kind", "d", "m"} <= vars(sketch).keys()
+    assert not sketch.sign_diagonals.flags.writeable
+    with pytest.raises(TypeError):
+        rp.MeasurementEnsemble(rows=np.eye(2), d=2)
+
+
+@pytest.mark.parametrize("arrays, message", [
+    ({}, "exactly one of rows and sign_diagonals"),
+    ({"rows": np.eye(2), "sign_diagonals": np.ones((1, 2))},
+     "exactly one of rows and sign_diagonals"),
+    ({"rows": np.ones(3)}, "expected a nonempty 2-D array"),
+    ({"sign_diagonals": np.ones((1, 2, 2))}, "expected a nonempty 2-D array"),
+    # m = 0 made every objective value NaN
+    ({"rows": np.zeros((0, 3))}, "expected a nonempty 2-D array"),
+    ({"sign_diagonals": np.ones((0, 4))}, "expected a nonempty 2-D array"),
+    # l = 3 used to be accepted, and A^T A x was not x
+    ({"sign_diagonals": np.ones((1, 3))}, "must be a power of two, got 3"),
+])
+def test_ensemble_rejects_a_malformed_construction(arrays, message):
+    with pytest.raises(ValueError, match=message):
+        rp.MeasurementEnsemble(**arrays)
+
+
 def test_apply_identity_rows():
-    ens = rp.MeasurementEnsemble(kind=rp.DENSE_GAUSSIAN, d=2, m=2, seed=0,
-                                 rows=np.eye(2))
+    ens = rp.MeasurementEnsemble(rows=np.eye(2))
     np.testing.assert_allclose(rp.apply(ens, np.array([3.0, -2.0])), [3.0, -2.0])
     np.testing.assert_allclose(rp.apply_adjoint(ens, np.array([3.0, -2.0])), [3.0, -2.0])
 
 
 def test_apply_hadamard_hand_case():
-    ens = rp.MeasurementEnsemble(kind=rp.HADAMARD_SKETCH, d=2, m=2, seed=0,
-                                 sign_diagonals=np.array([[1.0, -1.0]]))
+    ens = rp.MeasurementEnsemble(sign_diagonals=np.array([[1.0, -1.0]]))
     # S x = (1, -1); H_2 (1,-1)/sqrt(2) = (0, sqrt(2))
     np.testing.assert_allclose(rp.apply(ens, np.array([1.0, 1.0])), [0.0, SQ2], atol=1e-15)
 
 
 def test_apply_adjoint_hadamard_hand_case():
-    ens = rp.MeasurementEnsemble(kind=rp.HADAMARD_SKETCH, d=2, m=2, seed=0,
-                                 sign_diagonals=np.array([[1.0, 1.0]]))
+    ens = rp.MeasurementEnsemble(sign_diagonals=np.array([[1.0, 1.0]]))
     np.testing.assert_allclose(rp.apply_adjoint(ens, np.array([1.0, 0.0])),
                                [1 / SQ2, 1 / SQ2], atol=1e-15)
 

@@ -7,8 +7,7 @@ import robustpr as rp
 
 
 def single_row_problem(a, b, truth=None):
-    ens = rp.MeasurementEnsemble(kind=rp.DENSE_GAUSSIAN, d=len(a), m=1, seed=0,
-                                 rows=np.array([a], dtype=float))
+    ens = rp.MeasurementEnsemble(rows=np.array([a], dtype=float))
     return rp.PhaseProblem(ensemble=ens, b=np.array([b], dtype=float),
                            truth=None if truth is None else np.array(truth, dtype=float))
 
@@ -125,8 +124,11 @@ def test_weak_convexity_probe_bounded_by_population_modulus(seed):
 
 def test_weak_convexity_probe_empty_and_missing_truth():
     p = seeded_problem(4, 16, seed=8)
-    est = rp.weak_convexity_probe(p, 0, 1.0, seed=0)
-    assert est.rho_hat == 0.0 and est.samples == 0
+    with pytest.raises(ValueError, match="samples must be at least 1, got 0"):
+        rp.weak_convexity_probe(p, 0, 1.0, seed=0)
+    for radius in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="radius must be finite and positive"):
+            rp.weak_convexity_probe(p, 10, radius, seed=0)
     bare = rp.PhaseProblem(ensemble=p.ensemble, b=p.b.copy())
     with pytest.raises(ValueError):
         rp.weak_convexity_probe(bare, 10, 1.0, seed=0)
@@ -150,9 +152,10 @@ def test_sharpness_probe_meets_gaussian_slope_bound(seed):
 
 
 def test_sharpness_probe_empty_min_is_infinite():
+    # No samples would leave the minimum at inf, so none is an error.
     p = seeded_problem(4, 16, seed=8)
-    est = rp.sharpness_probe(p, 0, seed=0)
-    assert est.kappa_hat == math.inf and est.samples == 0
+    with pytest.raises(ValueError, match="samples must be at least 1, got 0"):
+        rp.sharpness_probe(p, 0, seed=0)
 
 
 def test_sharpness_probe_requires_noiseless():
@@ -195,6 +198,11 @@ def test_concentration_probe_decays_with_m():
 def test_concentration_probe_rejects_sketch_ensembles():
     with pytest.raises(ValueError):
         rp.concentration_probe(rp.hadamard_ensemble(8, 2, seed=0), 5, seed=0)
+
+
+def test_concentration_probe_rejects_no_samples():
+    with pytest.raises(ValueError, match="samples must be at least 1, got 0"):
+        rp.concentration_probe(rp.gaussian_ensemble(4, 16, seed=0), 0, seed=0)
 
 
 def test_probes_are_reproducible_given_seed():

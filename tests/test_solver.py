@@ -7,8 +7,7 @@ import robustpr as rp
 
 
 def single_row_problem(a, b, truth=None):
-    ens = rp.MeasurementEnsemble(kind=rp.DENSE_GAUSSIAN, d=len(a), m=1, seed=0,
-                                 rows=np.array([a], dtype=float))
+    ens = rp.MeasurementEnsemble(rows=np.array([a], dtype=float))
     return rp.PhaseProblem(ensemble=ens, b=np.array([b], dtype=float),
                            truth=None if truth is None else np.array(truth, dtype=float))
 
@@ -111,7 +110,7 @@ def test_capped_run_returns_the_iterate_its_last_record_describes():
 
 def test_run_converges_from_spectral_init():
     p = seeded_problem(100, 300, seed=0)
-    report = rp.spectral_init(p, rp.PowerConfig(seed=0))
+    report = rp.spectral_init(p, seed=0)
     trace = rp.run(p, report.x0, rp.SolverConfig(max_iters=2000, tol_dist=1e-5))
     assert trace.status == rp.CONVERGED
     rels = [r.rel_dist for r in trace.records]
@@ -174,7 +173,7 @@ def test_rate_estimate_on_constructed_sequences():
 
 def test_rate_estimate_on_converged_run():
     p = seeded_problem(100, 300, seed=0)
-    report = rp.spectral_init(p, rp.PowerConfig(seed=0))
+    report = rp.spectral_init(p, seed=0)
     trace = rp.run(p, report.x0, rp.SolverConfig(max_iters=2000, tol_dist=1e-5))
     assert rp.geometric_rate_estimate(trace, window=50) < 0.999
 
@@ -233,7 +232,7 @@ def corrupted_problem(p_fail, seed, truth=True, d=200, m=1600, scale=10.0):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_geometric_rule_recovers_corrupted_signal_without_the_oracle(p_fail, seed):
     p = corrupted_problem(p_fail, seed)
-    start = rp.spectral_init(p, rp.PowerConfig(seed=seed))
+    start = rp.spectral_init(p, seed=seed)
     trace = rp.run(p, start.x0, rp.SolverConfig(min_value=None, tol_dist=1e-10))
     # The remaining travel outlasts the distance, so the run ends converged.
     assert trace.status == rp.CONVERGED
@@ -274,7 +273,7 @@ def test_geometric_rule_reports_a_recovered_signal_as_converged(seed, iterations
     d, tol = 200, 1e-10
     p = rp.measure(rp.gaussian_ensemble(d, 1600, seed), rp.rng_for(seed, 40).standard_normal(d),
                    rp.NoiseModel(p_fail=0.30, scale=1e4, seed=100 + seed))
-    start = rp.spectral_init(p, rp.PowerConfig(seed=seed))
+    start = rp.spectral_init(p, seed=seed)
     trace = rp.run(p, start.x0, rp.SolverConfig(min_value=None, tol_dist=tol))
     assert trace.status == rp.CONVERGED
     assert trace.iterations == iterations
@@ -309,7 +308,7 @@ def test_explicit_min_value_on_corrupted_data_takes_polyak_steps():
     # Replays Polyak's x - (f - min_value) / |zeta|^2 zeta with the objective
     # alone: the run must take exactly these steps, bit for bit.
     p = corrupted_problem(0.15, 1, d=20, m=160)
-    x = rp.spectral_init(p, rp.PowerConfig(seed=1)).x0
+    x = rp.spectral_init(p, seed=1).x0
     trace = rp.run(p, x, rp.SolverConfig(min_value=0.0, max_iters=60, tol_dist=1e-10))
     assert trace.status == rp.MAX_ITERS
     for r in trace.records:

@@ -13,7 +13,7 @@ def matvec(mat):
 
 
 def test_min_eigenvector_diagonal_two_by_two():
-    res = rp.min_eigenvector(matvec(np.diag([2.0, 5.0])), 2, rp.PowerConfig(seed=0))
+    res = rp.min_eigenvector(matvec(np.diag([2.0, 5.0])), 2, seed=0)
     assert res.converged
     assert res.eigenvalue_estimate == pytest.approx(2.0, abs=1e-6)
     # sign normalization reports +e1
@@ -22,7 +22,7 @@ def test_min_eigenvector_diagonal_two_by_two():
 
 
 def test_min_eigenvector_identity_converges_immediately():
-    res = rp.min_eigenvector(matvec(np.eye(4)), 4, rp.PowerConfig(seed=1))
+    res = rp.min_eigenvector(matvec(np.eye(4)), 4, seed=1)
     assert res.converged
     assert res.iters <= 1
     assert res.eigenvalue_estimate == pytest.approx(1.0, rel=1e-12)
@@ -30,7 +30,7 @@ def test_min_eigenvector_identity_converges_immediately():
 
 
 def test_min_eigenvector_singular_diagonal():
-    res = rp.min_eigenvector(matvec(np.diag([0.0, 1.0, 3.0])), 3, rp.PowerConfig(seed=2))
+    res = rp.min_eigenvector(matvec(np.diag([0.0, 1.0, 3.0])), 3, seed=2)
     assert res.converged
     assert abs(res.eigenvalue_estimate) <= 1e-6
     np.testing.assert_allclose(res.w, [1.0, 0.0, 0.0], atol=1e-5)
@@ -39,8 +39,7 @@ def test_min_eigenvector_singular_diagonal():
 def test_min_eigenvector_stops_at_invariant_subspace_below_rounding_tol():
     # The basis spans the whole space, so no restart can lower the rounding-level
     # residual below an unattainable tol; the cap must not be spent on retries.
-    res = rp.min_eigenvector(matvec(np.diag(np.arange(1.0, 11.0))), 10,
-                             rp.PowerConfig(tol=1e-17, seed=1))
+    res = rp.min_eigenvector(matvec(np.diag(np.arange(1.0, 11.0))), 10, seed=1, tol=1e-17)
     assert not res.converged
     assert res.iters <= 20
     assert res.eigenvalue_estimate == pytest.approx(1.0, rel=1e-12)
@@ -51,19 +50,18 @@ def test_min_eigenvector_residual_obeys_scaled_tolerance():
     rng = np.random.default_rng(5)
     g = rng.standard_normal((30, 30))
     mat = g @ g.T  # PSD
-    cfg = rp.PowerConfig(max_iters=20000, tol=1e-9, seed=3)
-    res = rp.min_eigenvector(matvec(mat), 30, cfg)
+    res = rp.min_eigenvector(matvec(mat), 30, seed=3, tol=1e-9, max_iters=20000)
     assert res.converged
     lam_max = float(np.linalg.eigvalsh(mat)[-1])
     recomputed = np.linalg.norm(mat @ res.w - res.eigenvalue_estimate * res.w)
-    assert recomputed <= cfg.tol * (1.0 + lam_max)
+    assert recomputed <= 1e-9 * (1.0 + lam_max)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_min_eigenvector_finds_a_negative_bottom_of_an_indefinite_operator(seed):
     diag = np.linspace(-3.0, 5.0, 60)
     diag[30] = -4.0
-    res = rp.min_eigenvector(matvec(np.diag(diag)), 60, rp.PowerConfig(seed=seed))
+    res = rp.min_eigenvector(matvec(np.diag(diag)), 60, seed=seed)
     assert res.converged
     assert res.iters == 40
     assert res.eigenvalue_estimate == pytest.approx(-4.0, abs=1e-12)
@@ -75,14 +73,13 @@ def test_min_eigenvector_rejects_non_finite_operator():
         return np.full_like(v, np.nan)
 
     with pytest.raises(FloatingPointError):
-        rp.min_eigenvector(bad, 3, rp.PowerConfig(seed=0))
+        rp.min_eigenvector(bad, 3, seed=0)
 
 
 def test_spectral_init_hand_case():
-    ens = rp.MeasurementEnsemble(kind=rp.DENSE_GAUSSIAN, d=2, m=2, seed=0,
-                                 rows=np.eye(2))
+    ens = rp.MeasurementEnsemble(rows=np.eye(2))
     problem = rp.measure(ens, np.array([1.0, 0.0]))
-    report = rp.spectral_init(problem, rp.PowerConfig(seed=3))
+    report = rp.spectral_init(problem, seed=3)
     # b = (1, 0), mean 1/2, selection keeps only the zero measurement, so the
     # selected operator is diag(0, 1) and the bottom eigenvector is +-e1; the
     # rows have |A|_F^2 = 2, so r_hat^2 = (1/2) * m * d / 2 = 1 = |xbar|^2
@@ -95,7 +92,7 @@ def test_spectral_init_hand_case():
 def test_spectral_init_norm_matches_mean_measurement():
     problem = rp.measure(rp.gaussian_ensemble(40, 200, seed=7),
                          rp.rng_for(7, 99).standard_normal(40))
-    report = rp.spectral_init(problem, rp.PowerConfig(seed=7))
+    report = rp.spectral_init(problem, seed=7)
     assert np.linalg.norm(report.x0) == pytest.approx(report.r_hat, rel=1e-10)
     fro2 = np.sum(problem.ensemble.rows**2)
     assert report.r_hat == pytest.approx(math.sqrt(problem.b.mean() * 200 * 40 / fro2),
@@ -108,7 +105,7 @@ def test_sketch_init_scale_is_the_signal_norm(seed):
     # Unit rows: mean(b) = |xbar|^2 / d, which r_hat^2 = mean(b) * m * d / m undoes.
     xbar = rp.rng_for(seed, 40).standard_normal(4096)
     problem = rp.measure(rp.hadamard_ensemble(4096, 3, seed=seed), xbar)
-    report = rp.spectral_init(problem, rp.PowerConfig(seed=seed))
+    report = rp.spectral_init(problem, seed=seed)
     assert report.converged
     assert report.r_hat == pytest.approx(np.linalg.norm(xbar), rel=1e-12)
 
@@ -123,7 +120,7 @@ def test_spectral_init_scale_is_robust_to_gross_corruption():
     problem = rp.measure(rp.gaussian_ensemble(200, 1600, seed=0), xbar,
                          rp.NoiseModel(p_fail=0.15, scale=1e4, seed=100))
     assert problem.b.mean() < 0
-    report = rp.spectral_init(problem, rp.PowerConfig(seed=0))
+    report = rp.spectral_init(problem, seed=0)
     r2 = float(np.median(problem.b)) / spectral._CHI2_1_MEDIAN
     rows = problem.ensemble.rows
     assert report.converged
@@ -151,7 +148,7 @@ def test_spectral_init_quality_at_fixed_seed():
     ens = rp.gaussian_ensemble(100, 800, seed=12345)
     xbar = rp.rng_for(12345, 99).standard_normal(100)
     problem = rp.measure(ens, xbar)
-    report = rp.spectral_init(problem, rp.PowerConfig(seed=12345))
+    report = rp.spectral_init(problem, seed=12345)
     rel = min(np.linalg.norm(report.x0 - xbar),
               np.linalg.norm(report.x0 + xbar)) / np.linalg.norm(xbar)
     assert rel <= 0.7
@@ -169,8 +166,7 @@ def test_spectral_init_all_zero_measurements():
 
 def test_spectral_init_zero_rows_give_the_zero_start():
     # |A|_F = 0 leaves no length to read r_hat from, whatever b holds.
-    ens = rp.MeasurementEnsemble(kind=rp.DENSE_GAUSSIAN, d=3, m=6, seed=0,
-                                 rows=np.zeros((6, 3)))
+    ens = rp.MeasurementEnsemble(rows=np.zeros((6, 3)))
     report = rp.spectral_init(rp.PhaseProblem(ensemble=ens, b=np.ones(6)))
     np.testing.assert_array_equal(report.x0, np.zeros(3))
     assert (report.r_hat, report.n_selected, report.power_iters, report.matvecs) == (0.0, 6, 0, 0)
@@ -189,22 +185,19 @@ def test_spectral_init_matrix_free_matches_densified():
         ens = rp.hadamard_ensemble(l, 2, seed=l)
         xbar = rp.rng_for(l, 99).standard_normal(l)
         problem = rp.measure(ens, xbar)
-        dense = rp.MeasurementEnsemble(kind=rp.DENSE_GAUSSIAN, d=l, m=ens.m,
-                                       seed=ens.seed, rows=rp.densify(ens))
+        dense = rp.MeasurementEnsemble(rows=rp.densify(ens))
         dense_problem = rp.PhaseProblem(ensemble=dense, b=problem.b.copy(),
                                         truth=xbar)
-        cfg = rp.PowerConfig(seed=5)
-        a = rp.spectral_init(problem, cfg).x0
-        b = rp.spectral_init(dense_problem, cfg).x0
+        a = rp.spectral_init(problem, seed=5).x0
+        b = rp.spectral_init(dense_problem, seed=5).x0
         assert min(np.linalg.norm(a - b), np.linalg.norm(a + b)) <= 1e-8
 
 
 def test_spectral_init_sign_flip_insensitive():
     ens = rp.gaussian_ensemble(20, 120, seed=9)
     xbar = rp.rng_for(9, 99).standard_normal(20)
-    cfg = rp.PowerConfig(seed=9)
-    a = rp.spectral_init(rp.measure(ens, xbar), cfg).x0
-    b = rp.spectral_init(rp.measure(ens, -xbar), cfg).x0
+    a = rp.spectral_init(rp.measure(ens, xbar), seed=9).x0
+    b = rp.spectral_init(rp.measure(ens, -xbar), seed=9).x0
     np.testing.assert_array_equal(a, b)
 
 
@@ -222,7 +215,7 @@ def test_min_eigenvector_matches_eigh_oracle(d):
     lams = np.concatenate(([0.5], np.sort(rng.uniform(1.0, 100.0, d - 1))))
     mat = (q * lams) @ q.T
     mat = 0.5 * (mat + mat.T)
-    res = rp.min_eigenvector(matvec(mat), d, rp.PowerConfig(seed=d))
+    res = rp.min_eigenvector(matvec(mat), d, seed=d)
     evals, evecs = np.linalg.eigh(mat)
     assert res.converged
     assert res.eigenvalue_estimate == pytest.approx(evals[0], abs=1e-8 * evals[-1])
@@ -231,23 +224,21 @@ def test_min_eigenvector_matches_eigh_oracle(d):
 
 def test_capped_init_is_reported(tmp_path, monkeypatch):
     problem = bench_shaped_problem()
-    cfg = rp.PowerConfig(max_iters=5, seed=0)
     mask = spectral.selection_mask(problem.b)
     ens = problem.ensemble
 
     def op(v):
         return rp.apply_adjoint(ens, mask * rp.apply(ens, v))
 
-    eig = rp.min_eigenvector(op, problem.d, cfg)
+    eig = rp.min_eigenvector(op, problem.d, seed=0, max_iters=5)
     assert not eig.converged
     assert eig.iters <= 5
-    report = rp.spectral_init(problem, cfg)
+    # The init reads its cap when it is called, so lowering it caps every init.
+    monkeypatch.setattr(spectral, "_MAX_ITERS", 5)
+    report = rp.spectral_init(problem, seed=0)
     assert not report.converged
     assert report.power_iters == eig.iters
 
-    real = spectral.PowerConfig
-    monkeypatch.setattr(spectral, "PowerConfig",
-                        lambda seed=0: real(max_iters=5, seed=seed))
     cfg = harness.ExperimentConfig(command="solve", d=400, m=1480, seeds=[0],
                                    max_iters=1, out_dir=str(tmp_path), quiet=True)
     harness.run_solve_experiment(cfg)
@@ -266,7 +257,7 @@ def test_spectral_init_operator_applications_at_benchmark_shape(monkeypatch):
         return real_apply(ens, v)
 
     monkeypatch.setattr(spectral, "apply", counting_apply)
-    report = rp.spectral_init(bench_shaped_problem(), rp.PowerConfig(seed=0))
+    report = rp.spectral_init(bench_shaped_problem(), seed=0)
     assert report.converged
     assert len(calls) == report.power_iters + 1
     assert report.matvecs == 2 * len(calls)
@@ -284,7 +275,7 @@ def test_init_direction_matches_eigh_oracle(d, m):
         problem = rp.measure(ens, xbar)
         mask = spectral.selection_mask(problem.b)
         w_eigh = np.linalg.eigh((ens.rows.T * mask) @ ens.rows)[1][:, 0]
-        x0 = rp.spectral_init(problem, rp.PowerConfig(seed=seed)).x0
+        x0 = rp.spectral_init(problem, seed=seed).x0
         u = xbar / np.linalg.norm(xbar)
         assert abs(abs(x0 @ u) / np.linalg.norm(x0) - abs(w_eigh @ u)) <= 0.02
 
@@ -296,6 +287,6 @@ def test_spectral_init_non_finite_measurement_is_not_converged(bad):
     b = problem.b.copy()
     b[3] = bad
     report = rp.spectral_init(rp.PhaseProblem(ensemble=problem.ensemble, b=b),
-                              rp.PowerConfig(seed=2))
+                              seed=2)
     assert report.converged is False
     assert not np.all(np.isfinite(report.x0))
