@@ -36,7 +36,7 @@ from .objective import (
     subgradient,
     value,
     value_and_subgradient,
-    weak_convexity_probe,
+    weak_convexity_modulus,
 )
 from .solver import (
     CONVERGED,

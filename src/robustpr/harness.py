@@ -92,7 +92,7 @@ class ExperimentConfig:
     seeds: list = _setting([0], _parse_int_list, _PROBLEM)
     # None: 0 for noiseless data, no oracle (the geometric step) for corrupted data
     min_value: float | None = _setting(None, _parse_opt_float, _SOLVER)
-    max_iters: int = _setting(2000, int, _SOLVER)
+    max_iters: int = _setting(solver.DEFAULT_MAX_ITERS, int, _SOLVER)
     tol_value: float = _setting(0.0, float, _SOLVER)
     tol_dist: float | None = _setting(1e-10, _parse_opt_float, _SOLVER)
     noise_p_fail: float = _setting(0.0, float, ("solve",))
@@ -106,12 +106,11 @@ class ExperimentConfig:
     grid_n: int = _setting(201, int, ("landscape",))
     candidates: str | None = _setting(None, str, ("certify",))
     truth: str | None = _setting(None, str, ("certify",))
-    threshold: float = _setting(10.0, float, ("certify",))
+    threshold: float = _setting(landscape.DEFAULT_THRESHOLD, float, ("certify",))
     input: str | None = _setting(None, str, ("image",))
     output: str | None = _setting(None, str, ("image",))
     probe: str | None = _setting(None, str, ("probe",))
     samples: int = _setting(200, int, ("probe",))
-    radius: float = _setting(1.0, float, ("probe",))
     quiet: bool = _setting(False, _parse_bool,
                            ("solve", "landscape", "certify", "image", "probe"))
 
@@ -246,7 +245,7 @@ def _init_and_solve(problem, cfg, seed):
         "status": trace.status,
         "iterations": trace.iterations,
         "init_converged": report.converged,
-        "init_iters": report.power_iters,
+        "init_iters": report.iters,
         "init_residual": _json_scalar(report.residual),
         "init_matvecs": report.matvecs,
         # each solver step takes one forward and one adjoint product
@@ -454,7 +453,7 @@ def _certificate(name, x, xbar, m, threshold, **extra):
     return certificate_as_dict(cert, **extra)
 
 
-def certify_points(points, xbar, m, threshold=10.0):
+def certify_points(points, xbar, m, threshold=landscape.DEFAULT_THRESHOLD):
     """Certificates for a list of candidate points against signal xbar."""
     xbar = np.asarray(xbar, dtype=np.float64)
     return [_certificate(f"candidate {idx}", np.asarray(point, dtype=np.float64), xbar, m,
@@ -502,20 +501,23 @@ def run_certify(cfg):
 # ---------------------------------------------------------------------------
 
 def run_probe(cfg):
-    """Run one regularity probe on a seeded Gaussian problem and report JSON."""
+    """Report one regularity constant of a seeded Gaussian problem as JSON.
+
+    The sharpness and concentration probes draw ``samples`` seeded samples
+    and report them; the weak-convexity modulus is computed, so it reports
+    none.
+    """
     _require(cfg, "probe", "d", "m")
     problem = _seeded_problem(cfg, cfg.seed)
-    out = {"probe": cfg.probe, "d": cfg.d, "m": cfg.m, "seed": cfg.seed,
-           "samples": cfg.samples}
+    out = {"probe": cfg.probe, "d": cfg.d, "m": cfg.m, "seed": cfg.seed}
     if cfg.probe == "sharpness":
         est = objective.sharpness_probe(problem, cfg.samples, cfg.seed)
-        out["kappa_hat"] = _json_scalar(est.kappa_hat)
+        out.update(samples=cfg.samples, kappa_hat=_json_scalar(est.kappa_hat))
     elif cfg.probe == "weak_convexity":
-        est = objective.weak_convexity_probe(problem, cfg.samples, cfg.radius, cfg.seed)
-        out["rho_hat"] = _json_scalar(est.rho_hat)
+        out["rho_hat"] = objective.weak_convexity_modulus(problem)
     elif cfg.probe == "concentration":
-        out["max_deviation"] = objective.concentration_probe(
-            problem.ensemble, cfg.samples, cfg.seed)
+        out.update(samples=cfg.samples, max_deviation=objective.concentration_probe(
+            problem.ensemble, cfg.samples, cfg.seed))
     else:
         raise ConfigError(f"unknown probe {cfg.probe!r}")
     if cfg.out is not None:

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measure import NoiseModel, corruption, densify, rng_for
-from .objective import weak_convexity_probe
+from .objective import weak_convexity_modulus
 
 NEAR_SIGNAL = "near_signal"
 NEAR_ZERO = "near_zero"
@@ -49,14 +49,16 @@ UNEXPLAINED = "unexplained"
 # collinear with xbar; the rank-two reduction is ill-conditioned past it.
 COLLINEAR_TOL = 1e-10
 
+# A certificate is unexplained when every score exceeds this many units of
+# (d/m)^(1/4).
+DEFAULT_THRESHOLD = 10.0
+
 _TAG_MC_POPULATION = 30
 _TAG_MC_SPECTRAL = 31
 _TAG_MC_CORRUPT_MASK = 32
 _TAG_MC_CORRUPT_XI = 33
 
-# rho_hat's weak-convexity probe (triples, seed) and the nodes per side of a ball.
-_PROBE_TRIPLES = 100
-_PROBE_SEED = 0
+# Nodes per side of the sub-grid searched in an audit ball.
 _BALL_RESOLUTION = 41
 
 
@@ -398,7 +400,7 @@ def check_threshold(threshold):
         raise ValueError(f"threshold must be at least 0, got {threshold}")
 
 
-def certify_stationary(x, xbar, m, threshold=10.0):
+def certify_stationary(x, xbar, m, threshold=DEFAULT_THRESHOLD):
     """Score a candidate point against the stationary-set geometry.
 
     Stationary points of the subsampled objective satisfy (up to constants)
@@ -619,12 +621,13 @@ def graph_closeness_audit(problem, grid_half_width, grid_n, *, max_subgrad_norm=
     only those below ``max_subgrad_norm``), then searches a ball around each
     for the point minimizing the population gradient norm.  The ball radius
 
-        sqrt(4 dhat / (rho_hat + 2 dhat)) * sqrt(|x - xbar| |x + xbar|)
+        sqrt(4 dhat / (rho + 2 dhat)) * sqrt(|x - xbar| |x + xbar|)
 
-    uses dhat, the largest observed ratio |f_S - F| / (|x-xbar| |x+xbar|)
-    over the grid, and rho_hat from the weak-convexity probe; both are
-    empirical stand-ins for the uniform constants in the comparison bound, so
-    the output is an audit, not a proof.  f_S and its subgradient come from a
+    uses rho, f_S's weak-convexity modulus in closed form
+    (``weak_convexity_modulus``), and dhat, the largest observed ratio
+    |f_S - F| / (|x-xbar| |x+xbar|) over the grid.  dhat is an empirical
+    stand-in for the uniform constant in the comparison bound, so the output
+    is an audit, not a proof.  f_S and its subgradient come from a
     sorted sweep per grid row (``_planar_sweep``), called once on the main
     grid and once on each of the two rounds of zooms that refine dhat, so the
     grid costs at most O(n m log m + n^2) for n = ``grid_n``, not n^2 m residuals.
@@ -645,8 +648,8 @@ def graph_closeness_audit(problem, grid_half_width, grid_n, *, max_subgrad_norm=
     f_emp, zeta = _planar_sweep(problem, axis, axis)
     sub_norm = np.hypot(zeta[..., 0], zeta[..., 1])
     dhat = _deviation_ratio_max(problem, axis, f_emp)
-    rho_hat = weak_convexity_probe(problem, _PROBE_TRIPLES, 1.0, _PROBE_SEED).rho_hat
-    shrink = math.sqrt(4.0 * dhat / (rho_hat + 2.0 * dhat)) if dhat > 0 else 0.0
+    rho = weak_convexity_modulus(problem)
+    shrink = math.sqrt(4.0 * dhat / (rho + 2.0 * dhat)) if dhat > 0 else 0.0
 
     nb = float(np.linalg.norm(xbar))
     perp = np.array([-xbar[1], xbar[0]]) / nb

@@ -6,11 +6,11 @@ The objective is the mean absolute residual
 
 whose chain-rule subgradient is (2/m) A^T (s * Ax) with s_i the sign of the
 i-th residual and sign(0) := 0; both take one x or an (N, d) block of points,
-one per row.  The probes estimate the weak-convexity modulus, the sharpness
-slope, and the deviation of the empirical absolute product
-(1/m) sum_i |<a_i,v><a_i,w>| from its Gaussian mean.  Probe results are
-empirical extremes over finite seeded samples, at least one: statistical
-evidence, not certificates.
+one per row.  The weak-convexity modulus has a closed form (see
+``weak_convexity_modulus``).  The probes estimate the sharpness slope and the
+deviation of the empirical absolute product (1/m) sum_i |<a_i,v><a_i,w>| from
+its Gaussian mean.  Probe results are empirical extremes over finite seeded
+samples, at least one: statistical evidence, not certificates.
 """
 
 from __future__ import annotations
@@ -20,21 +20,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measure import DENSE_GAUSSIAN, apply, apply_adjoint, rng_for
+from .measure import DENSE_GAUSSIAN, apply, apply_adjoint, densify, rng_for
 
-_TAG_WEAK_CONVEXITY = 10
 _TAG_SHARPNESS = 11
 _TAG_CONCENTRATION = 12
 
 
 @dataclass(frozen=True)
 class RegularityEstimate:
-    """Empirical regularity constants from a seeded probe."""
+    """The sharpness probe's smallest observed slope and the samples it used."""
 
-    rho_hat: float = 0.0
-    kappa_hat: float = 0.0
-    samples: int = 0
-    seed: int = 0
+    kappa_hat: float
+    samples: int
 
 
 def _residuals(problem, x):
@@ -67,56 +64,22 @@ def subgradient(problem, x):
     return _chain_rule(problem, *_residuals(problem, x))
 
 
+def weak_convexity_modulus(problem):
+    """The weak-convexity modulus rho = (2/m) lambda_max(sum over b_i > 0 of a_i a_i^T).
+
+    For b_i > 0, |<a_i,x>^2 - b_i| + <a_i,x>^2 = max(2 <a_i,x>^2 - b_i, b_i)
+    is convex, and for b_i <= 0 the term is convex already, so
+    f + (rho/2) |x|^2 is convex.  When every b_i > 0 no smaller rho works:
+    near 0, f(x) = mean(b) - |Ax|^2 / m.  Without a positive b_i, rho is 0.
+    The rows are made dense, so the cost is O(m d^2).
+    """
+    rows = densify(problem.ensemble)[problem.b > 0]
+    return 2.0 * float(np.linalg.eigvalsh(rows.T @ rows)[-1]) / problem.m
+
+
 def _require_samples(n):
     if n < 1:
         raise ValueError(f"samples must be at least 1, got {n}")
-
-
-def _require_truth(problem):
-    if problem.truth is None:
-        raise ValueError("probe requires a problem with a known signal")
-    return problem.truth
-
-
-def _ball_point(rng, center, radius):
-    # Uniform draw from the ball of the given radius around center.
-    d = center.shape[0]
-    u = rng.standard_normal(d)
-    u /= np.linalg.norm(u)
-    return center + radius * rng.random() ** (1.0 / d) * u
-
-
-def weak_convexity_probe(problem, n_triples, radius, seed):
-    """Largest observed violation of the subgradient lower bound.
-
-    Samples pairs (x, y) uniformly from the ball of radius ``radius * |xbar|``
-    around the signal (``radius`` absolute when the signal is zero) and
-    returns the empirical weak-convexity modulus
-
-        rho_hat = max(0, max over pairs of 2 (f(x) + <zeta_x, y-x> - f(y)) / |y-x|^2).
-
-    ``n_triples`` must be at least 1 and ``radius`` finite and positive.
-    """
-    _require_samples(n_triples)
-    if not 0.0 < radius < math.inf:
-        raise ValueError(f"radius must be finite and positive, got {radius}")
-    xbar = _require_truth(problem)
-    nb = np.linalg.norm(xbar)
-    r = radius * nb if nb > 0 else radius
-    rng = rng_for(seed, _TAG_WEAK_CONVEXITY)
-    worst = 0.0
-    used = 0
-    for _ in range(n_triples):
-        x = _ball_point(rng, xbar, r)
-        y = _ball_point(rng, xbar, r)
-        gap2 = float((y - x) @ (y - x))
-        if gap2 == 0.0:
-            continue
-        fx, zeta = value_and_subgradient(problem, x)
-        viol = 2.0 * (fx + zeta @ (y - x) - value(problem, y)) / gap2
-        worst = max(worst, viol)
-        used += 1
-    return RegularityEstimate(rho_hat=worst, samples=used, seed=int(seed))
 
 
 def sharpness_probe(problem, n_points, seed):
@@ -128,7 +91,9 @@ def sharpness_probe(problem, n_points, seed):
     must be at least 1.
     """
     _require_samples(n_points)
-    xbar = _require_truth(problem)
+    xbar = problem.truth
+    if xbar is None:
+        raise ValueError("probe requires a problem with a known signal")
     if not problem.noiseless:
         raise ValueError("sharpness probe requires noiseless measurements")
     nb = np.linalg.norm(xbar)
@@ -149,7 +114,7 @@ def sharpness_probe(problem, n_points, seed):
             continue
         best = min(best, value(problem, x) / denom)
         used += 1
-    return RegularityEstimate(kappa_hat=best, samples=used, seed=int(seed))
+    return RegularityEstimate(kappa_hat=best, samples=used)
 
 
 def gaussian_abs_product_mean(t):

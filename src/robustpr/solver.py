@@ -41,13 +41,16 @@ STEP_VANISHED = "step_vanished"
 GEOMETRIC_SCALE = 0.1
 GEOMETRIC_DECAY = 0.95
 
+# The iteration cap when none is given.
+DEFAULT_MAX_ITERS = 2000
+
 
 @dataclass(frozen=True)
 class SolverConfig:
     """``min_value`` selects the step rule: Polyak given a number, geometric given None."""
 
     min_value: float | None = 0.0
-    max_iters: int = 2000
+    max_iters: int = DEFAULT_MAX_ITERS
     tol_value: float = 0.0
     tol_dist: float | None = None
 

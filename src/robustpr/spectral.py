@@ -32,7 +32,7 @@ import numpy as np
 
 from .measure import apply, apply_adjoint, rng_for, squared_frobenius_norm
 
-_TAG_POWER_START = 20
+_TAG_LANCZOS_START = 20
 # Krylov basis size per Lanczos cycle.
 _KRYLOV_DIM = 20
 # A projected off-diagonal at or below this fraction of lam_top marks an
@@ -64,7 +64,7 @@ class InitReport:
     x0: np.ndarray
     r_hat: float
     n_selected: int
-    power_iters: int
+    iters: int
     residual: float
     converged: bool
     matvecs: int
@@ -102,7 +102,7 @@ def min_eigenvector(op, d, *, seed=0, tol=1e-8, max_iters=_MAX_ITERS, angle_tol=
     ``max_iters``; ``seed`` keys the start vector.  The sign is normalized so
     the largest-magnitude coordinate is nonnegative.
     """
-    rng = rng_for(seed, _TAG_POWER_START)
+    rng = rng_for(seed, _TAG_LANCZOS_START)
     w = rng.standard_normal(d)
     w /= np.linalg.norm(w)
 
@@ -208,7 +208,7 @@ def spectral_init(problem, seed=0):
     converged set and no products; an r^2 that is not finite gives a
     non-finite start with converged unset.  ``matvecs`` counts the forward and
     adjoint products: one of each per operator application, and
-    ``power_iters`` leaves out the first, so 2 * (power_iters + 1).
+    ``iters`` leaves out the first, so 2 * (iters + 1).
     """
     b = problem.b
     m, d = problem.m, problem.d
@@ -217,7 +217,7 @@ def spectral_init(problem, seed=0):
     fro2 = 0.0 if r2 <= 0.0 else squared_frobenius_norm(ens)
     if fro2 == 0.0:
         return InitReport(x0=np.zeros(d), r_hat=0.0, n_selected=m,
-                          power_iters=0, residual=0.0, converged=True, matvecs=0)
+                          iters=0, residual=0.0, converged=True, matvecs=0)
     mask = selection_mask(b, r2)
 
     def op(v):
@@ -226,6 +226,6 @@ def spectral_init(problem, seed=0):
     eig = min_eigenvector(op, d, seed=seed, max_iters=_MAX_ITERS, angle_tol=_ANGLE_TOL)
     r_hat = math.sqrt(r2 * m * d / fro2)
     return InitReport(x0=r_hat * eig.w, r_hat=r_hat,
-                      n_selected=int(mask.sum()), power_iters=eig.iters,
+                      n_selected=int(mask.sum()), iters=eig.iters,
                       residual=eig.residual, converged=eig.converged and math.isfinite(r2),
                       matvecs=2 * (eig.iters + 1))

@@ -188,16 +188,14 @@ def test_quiet_false_words_print(tmp_path, capsys, word):
      "samples must be at least 1, got 0"),
     (["probe", "probe=concentration", "d=8", "m=40", "samples=-3", "out=p.json"],
      "samples must be at least 1, got -3"),
-    (["probe", "probe=weak_convexity", "d=2", "m=20", "samples=0", "out=p.json"],
-     "samples must be at least 1, got 0"),
-    (["probe", "probe=weak_convexity", "d=2", "m=20", "radius=0", "out=p.json"],
-     "radius must be finite and positive, got 0.0"),
-    (["probe", "probe=weak_convexity", "d=2", "m=20", "radius=-1", "out=p.json"],
-     "radius must be finite and positive, got -1.0"),
-    (["probe", "probe=weak_convexity", "d=2", "m=20", "radius=nan", "out=p.json"],
-     "radius must be finite and positive, got nan"),
-    (["probe", "probe=weak_convexity", "d=2", "m=20", "radius=inf", "out=p.json"],
-     "radius must be finite and positive, got inf"),
+    # The weak-convexity modulus is computed, so no ball radius is set.  Cases
+    # are replaced in place or appended: each id carries the case's index.
+    (["probe", "probe=weak_convexity", "d=2", "m=20", "radius=1", "out=p.json"],
+     "unknown key 'radius' for command 'probe'"),
+    (["probe", "probe=mystery", "d=2", "m=20", "out=p.json"], "unknown probe 'mystery'"),
+    (["probe", "d=2", "m=20", "out=p.json"], "command 'probe' requires 'probe'"),
+    (["landscape", "xbar=1,1", "grid_n=1", "out=g.csv"], "grid_n must be at least 2"),
+    (["solve", "d=8", "m=40", "noise_p_fail=1"], "p_fail must lie in [0, 1), got 1.0"),
     (["landscape", "xbar=1,1", "half_width=nan", "grid_n=5", "out=g.csv"],
      "half_width must be finite and positive, got nan"),
     (["landscape", "xbar=1,1", "half_width=inf", "grid_n=5", "out=g.csv"],

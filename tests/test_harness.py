@@ -135,7 +135,7 @@ COMMAND_KEYS = {
                 "tol_dist", "quiet"},
     "image": {"input", "output", "k", "seed", "max_iters", "tol_value",
               "tol_dist", "min_value", "out", "quiet"},
-    "probe": {"probe", "d", "m", "seed", "samples", "radius", "out", "quiet"},
+    "probe": {"probe", "d", "m", "seed", "samples", "out", "quiet"},
 }
 
 DEFAULTS = {
@@ -145,7 +145,7 @@ DEFAULTS = {
     "noise_kind": "gaussian", "out_dir": ".", "out": None, "xbar": None,
     "half_width": 2.0, "grid_n": 201, "candidates": None, "truth": None,
     "threshold": 10.0, "input": None, "output": None, "probe": None,
-    "samples": 200, "radius": 1.0, "quiet": False,
+    "samples": 200, "quiet": False,
 }
 
 RAW_VALUES = {
@@ -155,7 +155,7 @@ RAW_VALUES = {
     "noise_seed": "5", "noise_kind": "uniform", "out_dir": "runs", "out": "o.json",
     "xbar": "1,2", "half_width": "1.5", "grid_n": "11", "candidates": "c.json",
     "truth": "t.json", "threshold": "3", "input": "in.pgm", "output": "out.pgm",
-    "probe": "sharpness", "samples": "10", "radius": "0.5", "quiet": "yes",
+    "probe": "sharpness", "samples": "10", "quiet": "yes",
 }
 
 
@@ -665,6 +665,10 @@ def test_run_probe_kinds(tmp_path, probe, key):
     result = harness.run_probe(cfg)
     assert key in result
     assert json.loads(out.read_text())[key] == result[key]
+    # Only the sampling probes report their samples.
+    assert result.get("samples") == (None if probe == "weak_convexity" else 20)
+    if probe == "weak_convexity":
+        assert result[key] == rp.weak_convexity_modulus(harness._seeded_problem(cfg, 1))
 
 
 def test_run_probe_unknown_kind():

@@ -641,6 +641,19 @@ def test_graph_closeness_audit_finds_population_partners():
         assert d_set <= 0.15
 
 
+def test_graph_closeness_audit_ball_radius_uses_the_weak_convexity_modulus():
+    problem = planar_problem(2000, seed=1)
+    pairs = rp.graph_closeness_audit(problem, 1.6, 61)
+    axis = np.linspace(-1.6, 1.6, 61)
+    dhat = landscape._deviation_ratio_max(problem, axis,
+                                          landscape._planar_sweep(problem, axis, axis)[0])
+    shrink = math.sqrt(4.0 * dhat / (rp.weak_convexity_modulus(problem) + 2.0 * dhat))
+    assert pairs
+    for pair in pairs:
+        gap = np.linalg.norm(pair.x_s - problem.truth) * np.linalg.norm(pair.x_s + problem.truth)
+        assert pair.radius == pytest.approx(shrink * math.sqrt(gap), rel=1e-12)
+
+
 def test_graph_closeness_audit_threshold_can_empty_the_list():
     # even grid count keeps the exact origin (a true zero of the subgradient)
     # off the grid, so a tiny threshold filters everything

@@ -84,7 +84,7 @@ def test_lipschitz_product_bound():
 
 def test_subgradient_lower_model_with_probed_modulus():
     p = seeded_problem(20, 400, seed=0)
-    rho = rp.weak_convexity_probe(p, 400, 1.0, seed=0).rho_hat + 1e-9
+    rho = rp.weak_convexity_modulus(p) + 1e-9
     nb = np.linalg.norm(p.truth)
     rng = np.random.default_rng(7)
     for _ in range(200):
@@ -103,35 +103,79 @@ def test_weak_convexity_probe_is_zero_on_convex_instance():
     # b = 0 turns the objective into the mean of squares, which is convex
     ens = rp.gaussian_ensemble(5, 40, seed=3)
     p = rp.measure(ens, np.zeros(5))
-    est = rp.weak_convexity_probe(p, 200, 1.0, seed=4)
-    assert 0.0 <= est.rho_hat <= 1e-9
-    assert est.samples == 200
+    assert rp.weak_convexity_modulus(p) == 0.0
 
 
 def test_weak_convexity_probe_detects_known_curvature():
     # f(x) = |x^2 - 1| is concave between its roots with curvature -2
     p = single_row_problem([1.0], 1.0, truth=[1.0])
-    est = rp.weak_convexity_probe(p, 500, 1.0, seed=0)
-    assert est.rho_hat == pytest.approx(2.0, abs=1e-6)
+    assert rp.weak_convexity_modulus(p) == 2.0
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_weak_convexity_probe_bounded_by_population_modulus(seed):
     p = seeded_problem(20, 400, seed=seed)
-    est = rp.weak_convexity_probe(p, 200, 1.0, seed=seed)
-    assert est.rho_hat <= 16.0
+    assert rp.weak_convexity_modulus(p) <= 16.0
 
 
 def test_weak_convexity_probe_empty_and_missing_truth():
+    # The modulus needs no signal, and with no b_i > 0 it selects no row.
     p = seeded_problem(4, 16, seed=8)
-    with pytest.raises(ValueError, match="samples must be at least 1, got 0"):
-        rp.weak_convexity_probe(p, 0, 1.0, seed=0)
-    for radius in (0.0, -1.0, math.nan, math.inf):
-        with pytest.raises(ValueError, match="radius must be finite and positive"):
-            rp.weak_convexity_probe(p, 10, radius, seed=0)
     bare = rp.PhaseProblem(ensemble=p.ensemble, b=p.b.copy())
-    with pytest.raises(ValueError):
-        rp.weak_convexity_probe(bare, 10, 1.0, seed=0)
+    assert rp.weak_convexity_modulus(bare) == rp.weak_convexity_modulus(p) > 0.0
+    negative = rp.PhaseProblem(ensemble=p.ensemble, b=-p.b)
+    assert rp.weak_convexity_modulus(negative) == 0.0
+
+
+def test_weak_convexity_modulus_of_a_noiseless_sketch_is_two_over_l():
+    # A^T A = k I and m = k l, so with every b_i > 0 the modulus is 2 / l.
+    p = rp.measure(rp.hadamard_ensemble(64, 3, seed=0), rp.rng_for(0, 99).standard_normal(64))
+    assert (p.b > 0.0).all()
+    assert rp.weak_convexity_modulus(p) == pytest.approx(2.0 / 64, rel=1e-12)
+
+
+WEAK_CONVEXITY_CASES = {
+    "d2_m8": lambda: seeded_problem(2, 8, seed=0),
+    "d5_m20": lambda: seeded_problem(5, 20, seed=2),
+    # two negative b_i, whose rows the modulus leaves out
+    "d3_m12_corrupted": lambda: rp.measure(
+        rp.gaussian_ensemble(3, 12, seed=1), rp.rng_for(1, 99).standard_normal(3),
+        rp.NoiseModel(p_fail=0.3, scale=1.0, seed=1)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WEAK_CONVEXITY_CASES))
+def test_no_pair_violates_the_lower_model_by_more_than_the_modulus(case):
+    p = WEAK_CONVEXITY_CASES[case]()
+    rho = rp.weak_convexity_modulus(p)
+    # Pairs x, x + h at scales from 1e-3 |xbar| (x) and 1e-2 |xbar| (h) to
+    # twice |xbar|; the concave pieces of f sit near the origin.
+    n, d = 20000, p.d
+    rng = np.random.default_rng(11)
+    nb = np.linalg.norm(p.truth)
+    x = rng.standard_normal((n, d)) * nb * 10.0 ** rng.uniform(-3.0, 0.3, (n, 1))
+    h = rng.standard_normal((n, d)) * nb * 10.0 ** rng.uniform(-2.0, 0.3, (n, 1))
+    fx, zeta = rp.value_and_subgradient(p, x)
+    violation = 2.0 * (fx + np.sum(zeta * h, axis=1) - rp.value(p, x + h)) / np.sum(h * h, axis=1)
+    assert violation.max() <= rho + 1e-9
+    if p.noiseless:
+        # every b_i > 0, so the modulus is the least one and the pairs come near it
+        assert violation.max() >= 0.9 * rho
+
+
+def test_weak_convexity_modulus_is_attained_at_the_origin():
+    # Near 0 each |<a_i,x>^2 - b_i| with b_i > 0 is b_i - <a_i,x>^2, so a step
+    # along the top eigenvector v of the selected Gram matrix falls by
+    # rho / 2 * t^2, and zeta(0) = 0.
+    p = seeded_problem(5, 20, seed=2)
+    rows = rp.densify(p.ensemble)[p.b > 0]
+    v = np.linalg.eigh(rows.T @ rows)[1][:, -1]
+    t = 1e-3
+    assert (p.b > 0).all() and ((t * rows @ v) ** 2 < p.b).all()
+    zero = np.zeros(5)
+    fx, zeta = rp.value_and_subgradient(p, zero)
+    violation = 2.0 * (fx + zeta @ (t * v) - rp.value(p, t * v)) / t**2
+    assert violation == pytest.approx(rp.weak_convexity_modulus(p), rel=1e-6)
 
 
 def test_sharpness_probe_exact_in_one_dimension():
@@ -209,8 +253,6 @@ def test_probes_are_reproducible_given_seed():
     p = seeded_problem(8, 50, seed=4)
     assert (rp.sharpness_probe(p, 30, seed=5)
             == rp.sharpness_probe(p, 30, seed=5))
-    assert (rp.weak_convexity_probe(p, 30, 1.0, seed=5)
-            == rp.weak_convexity_probe(p, 30, 1.0, seed=5))
     assert (rp.concentration_probe(p.ensemble, 10, seed=5)
             == rp.concentration_probe(p.ensemble, 10, seed=5))
 

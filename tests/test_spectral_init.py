@@ -161,7 +161,7 @@ def test_spectral_init_all_zero_measurements():
     np.testing.assert_array_equal(report.x0, np.zeros(4))
     assert report.n_selected == problem.m
     assert report.residual == 0.0
-    assert report.power_iters == report.matvecs == 0
+    assert report.iters == report.matvecs == 0
 
 
 def test_spectral_init_zero_rows_give_the_zero_start():
@@ -169,7 +169,7 @@ def test_spectral_init_zero_rows_give_the_zero_start():
     ens = rp.MeasurementEnsemble(rows=np.zeros((6, 3)))
     report = rp.spectral_init(rp.PhaseProblem(ensemble=ens, b=np.ones(6)))
     np.testing.assert_array_equal(report.x0, np.zeros(3))
-    assert (report.r_hat, report.n_selected, report.power_iters, report.matvecs) == (0.0, 6, 0, 0)
+    assert (report.r_hat, report.n_selected, report.iters, report.matvecs) == (0.0, 6, 0, 0)
 
 
 def test_selection_fallback_for_constant_measurements():
@@ -237,7 +237,7 @@ def test_capped_init_is_reported(tmp_path, monkeypatch):
     monkeypatch.setattr(spectral, "_MAX_ITERS", 5)
     report = rp.spectral_init(problem, seed=0)
     assert not report.converged
-    assert report.power_iters == eig.iters
+    assert report.iters == eig.iters
 
     cfg = harness.ExperimentConfig(command="solve", d=400, m=1480, seeds=[0],
                                    max_iters=1, out_dir=str(tmp_path), quiet=True)
@@ -259,7 +259,7 @@ def test_spectral_init_operator_applications_at_benchmark_shape(monkeypatch):
     monkeypatch.setattr(spectral, "apply", counting_apply)
     report = rp.spectral_init(bench_shaped_problem(), seed=0)
     assert report.converged
-    assert len(calls) == report.power_iters + 1
+    assert len(calls) == report.iters + 1
     assert report.matvecs == 2 * len(calls)
     assert len(calls) <= 120
 
