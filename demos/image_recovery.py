@@ -26,7 +26,8 @@ img = (255 * np.hypot(xx - 32, yy - 32) / 45.0).clip(0, 255)
 img[12:24, 40:56] = 240
 netpbm.write_image(src, img.astype(np.uint8))
 
-summary = harness.run_image_pipeline(src, dst, k=3, seed=7, quiet=False)
+cfg = harness.ExperimentConfig(command="image", input=src, output=dst, k=3, seed=7)
+summary = harness.run_image_command(cfg)
 
 print(f"\noriginal   {src}")
 print(f"recovered  {dst}")

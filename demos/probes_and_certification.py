@@ -45,7 +45,7 @@ for seed in range(5):
     problem = rp.measure(ens, xbar)
     start = rp.spectral_init(problem, seed=seed)
     trace = rp.run(problem, start.x0, rp.SolverConfig(max_iters=2000, tol_dist=1e-10))
-    rel = trace.records[-1].rel_dist
+    rel = trace.final_rel_dist
     if rel <= 1e-2:
         print(f"  seed {seed}: converged (rel dist {rel:.1e}), nothing to certify")
         continue

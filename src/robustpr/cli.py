@@ -4,11 +4,11 @@ Usage:
 
     robustpr <command> [-c CONFIG] [key=value ...]
 
-where command is one of solve, landscape, certify, image, probe.  Settings
-come from an optional key=value config file, overridden by key=value
-arguments on the command line; unknown keys are errors.  Exit codes: 0
-success, 1 usage or configuration error, 2 I/O error, 3 numerical failure
-(non-finite values encountered).
+where command is a key of ``_RUNNERS`` (solve, landscape, certify, image,
+probe), whose ``-h`` help is its runner's docstring summary.  Settings come
+from an optional key=value config file, overridden by key=value arguments on
+the command line; unknown keys are errors.  Exit codes: 0 success, 1 usage or
+configuration error, 2 I/O error, 3 numerical failure (FloatingPointError).
 """
 
 from __future__ import annotations
@@ -25,21 +25,14 @@ EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_NUMERICAL = 3
 
-# name -> (runner, help): the one declaration of the subcommands
-_COMMANDS = {
-    "solve": (harness.run_solve_experiment,
-              "simulated-data convergence study (one trace CSV per seed)"),
-    "landscape": (harness.run_landscape_command,
-                  "export the planar population landscape grid as CSV"),
-    "certify": (harness.run_certify,
-                "score candidate stationary points against the landscape"),
-    "image": (harness.run_image_command,
-              "recover a PGM/PPM image from Hadamard-sketch measurements"),
-    "probe": (harness.run_probe,
-              "empirical sharpness / weak convexity / concentration probes"),
+# The one declaration of the subcommands.
+_RUNNERS = {
+    "solve": harness.run_solve_experiment,
+    "landscape": harness.run_landscape_command,
+    "certify": harness.run_certify,
+    "image": harness.run_image_command,
+    "probe": harness.run_probe,
 }
-# Dispatch uses this flat view, which function-swapping tools (tracers) can patch.
-_RUNNERS = {name: runner for name, (runner, _) in _COMMANDS.items()}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -54,8 +47,8 @@ def _parser():
         description="Robust phase retrieval: subgradient solver and landscape analysis.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, doc) in _COMMANDS.items():
-        p = sub.add_parser(name, help=doc)
+    for name, runner in _RUNNERS.items():
+        p = sub.add_parser(name, help=(runner.__doc__ or "").partition("\n")[0])
         p.add_argument("-c", "--config", default=None,
                        help="key=value configuration file")
         p.add_argument("overrides", nargs="*", metavar="key=value",
@@ -87,7 +80,7 @@ def main(argv=None):
     except (harness.ConfigError, CapacityError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (harness.NumericalError, FloatingPointError) as exc:
+    except FloatingPointError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK

@@ -36,10 +36,6 @@ class ConfigError(Exception):
     """Invalid, missing, or unknown configuration."""
 
 
-class NumericalError(Exception):
-    """Non-finite values encountered in results."""
-
-
 # ---------------------------------------------------------------------------
 # Configuration
 # ---------------------------------------------------------------------------
@@ -110,7 +106,7 @@ class ExperimentConfig:
     input: str | None = _setting(None, str, ("image",))
     output: str | None = _setting(None, str, ("image",))
     probe: str | None = _setting(None, str, ("probe",))
-    samples: int = _setting(200, int, ("probe",))
+    samples: int | None = _setting(None, int, ("probe",))
     quiet: bool = _setting(False, _parse_bool,
                            ("solve", "landscape", "certify", "image", "probe"))
 
@@ -130,21 +126,18 @@ def parse_config_file(path):
     return mapping
 
 
-def _accepted_settings(command, keys):
-    """Parsers of the command's settings; an unknown command or key is an error."""
+def build_config(command, mapping):
+    """Coerce a raw string mapping into an ExperimentConfig for the command.
+
+    An unknown command, or a key the command does not accept, is an error.
+    """
     parsers = {f.name: f.metadata["parse"] for f in fields(ExperimentConfig)
                if command in f.metadata.get("commands", ())}
     if not parsers:
         raise ConfigError(f"unknown command {command!r}")
-    for key in keys:
+    for key in mapping:
         if key not in parsers:
             raise ConfigError(f"unknown key {key!r} for command {command!r}")
-    return parsers
-
-
-def build_config(command, mapping):
-    """Coerce a raw string mapping into an ExperimentConfig for the command."""
-    parsers = _accepted_settings(command, mapping)
     values = {}
     for key, raw in mapping.items():
         try:
@@ -192,7 +185,7 @@ def write_trace_csv(path, trace):
 
 def ensure_finite(name, arr):
     if not np.all(np.isfinite(arr)):
-        raise NumericalError(f"non-finite values in {name}")
+        raise FloatingPointError(f"non-finite values in {name}")
 
 
 # ---------------------------------------------------------------------------
@@ -218,14 +211,15 @@ def _seeded_problem(cfg, seed):
 
 
 def _init_and_solve(problem, cfg, seed):
-    """Timed spectral init plus solver run; non-finite values raise NumericalError.
+    """Timed spectral init plus solver run; non-finite values raise FloatingPointError.
 
     A given ``min_value`` selects the Polyak step; without one, noiseless
     data takes the Polyak step to 0 and corrupted data, whose minimum is
     unknown, the geometric step.  Returns the init report, the trace, and the
     summary entries every command reports: step rule, stop status,
     iterations, init convergence, the matvecs (forward or adjoint products) and
-    seconds of each stage, and wall time, their sum.
+    seconds of each stage, and wall time, their sum; the solver and the init
+    report their own rule and products.
     """
     min_value = cfg.min_value
     if min_value is None and problem.noiseless:
@@ -238,18 +232,17 @@ def _init_and_solve(problem, cfg, seed):
     trace = solver.run(problem, report.x0, solver_cfg)
     t2 = time.perf_counter()
     if trace.status == solver.NON_FINITE:
-        raise NumericalError("non-finite objective or subgradient in the solve")
+        raise FloatingPointError("non-finite objective or subgradient in the solve")
     ensure_finite("final iterate", trace.final_x)
     entries = {
-        "step_rule": "geometric" if min_value is None else "polyak",
+        "step_rule": trace.step_rule,
         "status": trace.status,
         "iterations": trace.iterations,
         "init_converged": report.converged,
         "init_iters": report.iters,
         "init_residual": _json_scalar(report.residual),
         "init_matvecs": report.matvecs,
-        # each solver step takes one forward and one adjoint product
-        "solve_matvecs": 2 * trace.iterations,
+        "solve_matvecs": trace.matvecs,
         "init_s": t1 - t0,
         "solve_s": t2 - t1,
         "wall_time_s": t2 - t0,
@@ -269,10 +262,9 @@ def _run_one_seed(cfg, seed):
         rate = solver.geometric_rate_estimate(trace, window=50)
     except ValueError:
         rate = None
-    final_rel = trace.records[-1].rel_dist if trace.records else None
     summary = {
         "seed": seed,
-        "final_rel_dist": _json_scalar(final_rel),
+        "final_rel_dist": _json_scalar(trace.final_rel_dist),
         "rate_estimate": _json_scalar(rate),
         "init_selected": report.n_selected,
         **entries,
@@ -390,19 +382,13 @@ def run_image_command(cfg):
     """
     _require(cfg, "input", "output", "k")
     buf = ImageBuffer.from_array(netpbm.read_image(cfg.input))
-    xbar = buf.to_vector()
     ens = hadamard_ensemble(buf.pad_len, cfg.k, cfg.seed)
-    problem = take_measurements(ens, xbar)
+    problem = take_measurements(ens, buf.to_vector())
     _, trace, entries = _init_and_solve(problem, cfg, cfg.seed)
     x = trace.final_x
     region = x[: buf.n_samples]
     if np.sum(np.maximum(0.0, -region)) > np.sum(np.maximum(0.0, region)):
         x = -x
-    nb = np.linalg.norm(xbar)
-    if nb > 0:
-        rel = solver._rel_dist(x, xbar, nb)
-    else:
-        rel = 0.0 if np.linalg.norm(x) == 0 else math.inf
     recovered = buf.from_vector(x)
     netpbm.write_image(cfg.output, recovered)
     summary = {
@@ -412,24 +398,17 @@ def run_image_command(cfg):
         "pad_len": buf.pad_len,
         "k": cfg.k,
         "seed": cfg.seed,
-        "rel_dist": _json_scalar(rel),
+        "rel_dist": _json_scalar(trace.final_rel_dist),
         "exact_pixel_fraction": float(np.mean(recovered == buf.pixels)),
         **entries,
     }
     write_json(cfg.out or cfg.output + ".json", summary)
     if not cfg.quiet:
+        rel = summary["rel_dist"]
         print(f"image {cfg.input}: status={trace.status} iters={trace.iterations}"
-              f" rel_dist={rel:.3g} exact={summary['exact_pixel_fraction']:.4f}")
+              f" rel_dist={rel if rel is None else format(rel, '.3g')}"
+              f" exact={summary['exact_pixel_fraction']:.4f}")
     return summary
-
-
-def run_image_pipeline(input_path, output_path, k, seed, summary_path=None,
-                       quiet=True, **settings):
-    """``run_image_command`` with paths as arguments, other image settings as keywords."""
-    _accepted_settings("image", settings)
-    return run_image_command(ExperimentConfig(
-        command="image", input=input_path, output=output_path, k=k, seed=seed,
-        out=summary_path, quiet=quiet, **settings))
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +420,7 @@ def certificate_as_dict(cert, **extra):
 
 
 def _certificate(name, x, xbar, m, threshold, **extra):
-    """Candidate x's certificate entry; non-finite x or scores raise NumericalError."""
+    """Candidate x's certificate entry; non-finite x or scores raise FloatingPointError."""
     ensure_finite(name, x)
     cert = landscape.certify_stationary(x, xbar, m, threshold=threshold)
     with np.errstate(over="ignore"):  # an overflowing norm fails just below
@@ -449,7 +428,7 @@ def _certificate(name, x, xbar, m, threshold, **extra):
     if nonzero and not all(
             math.isfinite(v) for v in (cert.block1_score, cert.block2_ratio_score,
                                        cert.block2_angle_score)):
-        raise NumericalError(f"non-finite certificate scores for {name}")
+        raise FloatingPointError(f"non-finite certificate scores for {name}")
     return certificate_as_dict(cert, **extra)
 
 
@@ -503,13 +482,17 @@ def run_certify(cfg):
 def run_probe(cfg):
     """Report one regularity constant of a seeded Gaussian problem as JSON.
 
-    The sharpness and concentration probes draw ``samples`` seeded samples
-    and report them; the weak-convexity modulus is computed, so it reports
-    none.
+    The sharpness and concentration probes require ``samples``, draw that
+    many seeded samples and report them; the weak-convexity modulus is
+    computed, so that probe refuses ``samples``.
     """
     _require(cfg, "probe", "d", "m")
     problem = _seeded_problem(cfg, cfg.seed)
     out = {"probe": cfg.probe, "d": cfg.d, "m": cfg.m, "seed": cfg.seed}
+    if cfg.probe in ("sharpness", "concentration"):
+        _require(cfg, "samples")
+    elif cfg.probe == "weak_convexity" and cfg.samples is not None:
+        raise ConfigError("probe 'weak_convexity' computes its modulus and takes no 'samples'")
     if cfg.probe == "sharpness":
         est = objective.sharpness_probe(problem, cfg.samples, cfg.seed)
         out.update(samples=cfg.samples, kappa_hat=_json_scalar(est.kappa_hat))
@@ -528,6 +511,7 @@ def run_probe(cfg):
 
 
 def run_landscape_command(cfg):
+    """Export the planar population landscape grid as CSV."""
     _require(cfg, "xbar", "out")
     axis, f, g = run_landscape_grid(np.array(cfg.xbar), cfg.half_width,
                                     cfg.grid_n, cfg.out)

@@ -412,14 +412,17 @@ def certify_stationary(x, xbar, m, threshold=DEFAULT_THRESHOLD):
     is reported in units of scale = (d/m)^(1/4).  The verdict picks the
     better-explained block (block1 splits into near_zero / near_signal by
     which point is closer); it is ``unexplained`` when every normalized score
-    exceeds ``threshold`` (see ``check_threshold``).  The constants hidden in
-    the bound are not quantified, so treat scores as evidence, not a test.
+    exceeds ``threshold`` (see ``check_threshold``).  A candidate with a
+    non-finite entry raises FloatingPointError.  The constants hidden in the
+    bound are not quantified, so treat scores as evidence, not a test.
     """
     x = np.asarray(x, dtype=np.float64)
     xbar = np.asarray(xbar, dtype=np.float64)
     if x.ndim != 1 or x.shape != xbar.shape:
         raise ValueError(f"the candidate has shape {x.shape} and xbar {xbar.shape}:"
                          " they must be vectors of one length")
+    if not np.all(np.isfinite(x)):
+        raise FloatingPointError("the candidate has a non-finite entry")
     if m < 1:
         raise ValueError("m must be positive")
     check_threshold(threshold)

@@ -84,13 +84,22 @@ class TraceRecord:
 
 @dataclass
 class SolveTrace:
+    """A run's records, last iterate and its distance, stop status and step rule (see ``run``)."""
+
     records: list[TraceRecord] = field(default_factory=list)
     final_x: np.ndarray | None = None
     status: str = MAX_ITERS
+    step_rule: str = "polyak"
+    final_rel_dist: float | None = None
 
     @property
     def iterations(self):
         return len(self.records)
+
+    @property
+    def matvecs(self):
+        """Forward and adjoint products: one of each per evaluated iterate."""
+        return 2 * self.iterations
 
 
 def polyak_step(problem, x, min_value=0.0, length=None):
@@ -112,6 +121,9 @@ def polyak_step(problem, x, min_value=0.0, length=None):
 
 
 def _rel_dist(x, xbar, nb):
+    """min(|x - xbar|, |x + xbar|) / nb, None unless nb = |xbar| > 0."""
+    if not nb > 0:
+        return None
     return min(np.linalg.norm(x - xbar), np.linalg.norm(x + xbar)) / nb
 
 
@@ -119,15 +131,16 @@ def run(problem, x0, cfg):
     """Iterate subgradient steps from x0 until a stopping rule fires.
 
     The step rule is Polyak's when ``cfg.min_value`` is a number and the
-    geometric one when it is None; only the geometric rule stops with
-    ``step_vanished``, once all its remaining steps together,
-    lam * q^k / (1 - q), are no longer than tol_dist * |x|: the iterate can
-    then move no further than the distance tolerance (at x0 = 0 that is the
-    first iterate).  One trace record is written per evaluated iterate; its
+    geometric one when it is None (``step_rule`` ``polyak`` or ``geometric``);
+    only the geometric rule stops with ``step_vanished``, once all its
+    remaining steps together, lam * q^k / (1 - q), are no longer than
+    tol_dist * |x|: the iterate can then move no further than the distance
+    tolerance (at x0 = 0 that is the first iterate).  One trace record is written per evaluated iterate; its
     ``step_length`` is the step's ``PolyakStep.length``, lam * q^k for the
     geometric rule.  ``rel_dist`` is min(|x-xbar|, |x+xbar|) / |xbar| and is
-    present only when the problem stores the signal.  ``final_x`` is the
-    iterate the last record describes (x0 when there is no record).
+    present only when the problem stores a nonzero signal.  ``final_x`` is the
+    iterate the last record describes (x0 when there is no record), and
+    ``final_rel_dist`` its relative distance by the same rule.
     """
     x = np.asarray(x0, dtype=np.float64).copy()
     if x.shape != (problem.d,):
@@ -136,14 +149,14 @@ def run(problem, x0, cfg):
     nb = np.linalg.norm(xbar) if xbar is not None else 0.0
     geometric = cfg.min_value is None
     lam = GEOMETRIC_SCALE * float(np.linalg.norm(x)) if geometric else 0.0
-    trace = SolveTrace(final_x=x)
+    trace = SolveTrace(final_x=x, step_rule="geometric" if geometric else "polyak")
     for k in range(cfg.max_iters):
         trace.final_x = x
         if geometric:
             step = polyak_step(problem, x, length=lam * GEOMETRIC_DECAY**k)
         else:
             step = polyak_step(problem, x, cfg.min_value)
-        rel = _rel_dist(x, xbar, nb) if xbar is not None and nb > 0 else None
+        rel = _rel_dist(x, xbar, nb)
         trace.records.append(
             TraceRecord(k=k, f_value=step.f_value, subgrad_norm=step.subgrad_norm,
                         step_length=step.length, rel_dist=rel)
@@ -167,6 +180,7 @@ def run(problem, x0, cfg):
         x = step.next_x
     else:
         trace.status = MAX_ITERS
+    trace.final_rel_dist = _rel_dist(trace.final_x, xbar, nb)
     return trace
 
 

@@ -164,17 +164,18 @@ def min_eigenvector(op, d, *, seed=0, tol=1e-8, max_iters=_MAX_ITERS, angle_tol=
                        converged=converged)
 
 
-def selection_mask(b, r2=None):
+def selection_mask(b, r2):
     """0/1 mask of the indices entering X_init.
 
-    Uses the rule 0 <= b_i <= r2 / 2, r2 defaulting to mean(b): a negative
-    entry is no squared magnitude, so it is certainly corrupted.  If that
-    selects nothing (possible for degenerate b with all entries equal), falls
-    back to the ceil(m/2) smallest entries so the operator stays nonzero.
+    Uses the rule 0 <= b_i <= r2 / 2 with ``spectral_init``'s per-row scale
+    r2: a negative entry is no squared magnitude, so it is certainly
+    corrupted.  If that selects nothing (possible for degenerate b with all
+    entries equal), falls back to the ceil(m/2) smallest entries so the
+    operator stays nonzero.
     """
     b = np.asarray(b, dtype=np.float64)
     m = b.shape[0]
-    mask = (b >= 0.0) & (b <= 0.5 * (b.mean() if r2 is None else r2))
+    mask = (b >= 0.0) & (b <= 0.5 * r2)
     if not mask.any():
         mask = np.zeros(m, dtype=bool)
         mask[np.argsort(b, kind="stable")[: math.ceil(m / 2)]] = True

@@ -192,8 +192,9 @@ def test_criterion_08_image_pipeline(tmp_path):
     src = tmp_path / "in.pgm"
     netpbm.write_image(src, img)
     t0 = time.perf_counter()
-    summary = harness.run_image_pipeline(str(src), str(tmp_path / "out.pgm"),
-                                         k=3, seed=11)
+    summary = harness.run_image_command(harness.ExperimentConfig(
+        command="image", input=str(src), output=str(tmp_path / "out.pgm"), k=3, seed=11,
+        quiet=True))
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0
     assert summary["rel_dist"] <= 1e-5

@@ -156,6 +156,14 @@ def test_certify_a_tiny_signal_overflows_as_a_numerical_failure(tmp_path, capsys
     assert "non-finite certificate scores for candidate 0" in capsys.readouterr().err
 
 
+def test_certify_a_nan_candidate_is_a_numerical_failure(tmp_path, capsys):
+    out = tmp_path / "c.json"
+    args = _certify_files(tmp_path, [float("nan"), 1.0], [2.0, 0.0])
+    assert main(["certify", *args, f"out={out}", "quiet=true"]) == 3
+    assert "numerical failure: non-finite values in candidate 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_certify_rejects_a_candidate_whose_length_is_not_the_truths(tmp_path, capsys):
     out = tmp_path / "c.json"
     args = _certify_files(tmp_path, [1.0, 2.0, 3.0], [1.0, 1.0])
@@ -213,6 +221,15 @@ def test_quiet_false_words_print(tmp_path, capsys, word):
     # The seed converges, so no run is certified: the threshold is checked first.
     (["certify", "d=10", "m=80", "seeds=0", "threshold=nan", "out=c.json"],
      "threshold must be at least 0, got nan"),
+    # The sampling probes need a sample count; the computed modulus takes none.
+    (["probe", "probe=sharpness", "d=8", "m=40", "out=p.json"],
+     "command 'probe' requires 'samples'"),
+    (["probe", "probe=concentration", "d=8", "m=40", "out=p.json"],
+     "command 'probe' requires 'samples'"),
+    (["probe", "probe=weak_convexity", "d=2", "m=20", "samples=0", "out=p.json"],
+     "probe 'weak_convexity' computes its modulus and takes no 'samples'"),
+    (["probe", "probe=weak_convexity", "d=2", "m=20", "samples=200", "out=p.json"],
+     "probe 'weak_convexity' computes its modulus and takes no 'samples'"),
 ])
 def test_bad_settings_are_usage_errors(tmp_path, capsys, monkeypatch, args, message):
     monkeypatch.chdir(tmp_path)
@@ -242,7 +259,18 @@ def test_each_command_prints_its_line(tmp_path, capsys):
 
 
 def test_the_documentation_shows_every_command():
-    assert {line.split()[1] for line in documented_command_lines()} == set(cli._COMMANDS)
+    assert {line.split()[1] for line in documented_command_lines()} == set(cli._RUNNERS)
+
+
+def test_help_lists_each_command_with_its_runners_summary(capsys):
+    with pytest.raises(SystemExit) as done:
+        main(["-h"])
+    assert done.value.code == 0
+    # argparse wraps long help lines; compare with the whitespace collapsed
+    text = " ".join(capsys.readouterr().out.split())
+    for name, runner in cli._RUNNERS.items():
+        summary = runner.__doc__.partition("\n")[0]
+        assert summary and f" {name} {summary}" in text
 
 
 @pytest.mark.parametrize("line", documented_command_lines())

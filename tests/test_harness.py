@@ -15,6 +15,12 @@ def gradient_image(w=16, h=16):
     return np.tile(col, (h, 1))
 
 
+def run_image(src, out, quiet=True, **settings):
+    """The image command from src to out with the given settings."""
+    return harness.run_image_command(harness.ExperimentConfig(
+        command="image", input=str(src), output=str(out), quiet=quiet, **settings))
+
+
 # ---------------------------------------------------------------------------
 # netpbm
 # ---------------------------------------------------------------------------
@@ -145,7 +151,7 @@ DEFAULTS = {
     "noise_kind": "gaussian", "out_dir": ".", "out": None, "xbar": None,
     "half_width": 2.0, "grid_n": 201, "candidates": None, "truth": None,
     "threshold": 10.0, "input": None, "output": None, "probe": None,
-    "samples": 200, "quiet": False,
+    "samples": None, "quiet": False,
 }
 
 RAW_VALUES = {
@@ -238,12 +244,18 @@ def test_summary_times_each_stage(tmp_path):
 
 
 def test_run_solve_experiment_zero_iteration_budget(tmp_path):
-    harness.run_solve_experiment(solve_cfg(tmp_path, max_iters=0, seeds=[5]))
+    cfg = solve_cfg(tmp_path, max_iters=0, seeds=[5])
+    harness.run_solve_experiment(cfg)
     content = (tmp_path / "trace_seed5.csv").read_text()
     assert content == harness.TRACE_HEADER + "\n"
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary[0]["status"] == "max_iters"
     assert summary[0]["iterations"] == 0
+    # With no step taken, the final distance is the start's.
+    problem = harness._seeded_problem(cfg, 5)
+    x0, xbar = rp.spectral_init(problem, 5).x0, problem.truth
+    start = min(np.linalg.norm(x0 - xbar), np.linalg.norm(x0 + xbar)) / np.linalg.norm(xbar)
+    assert summary[0]["final_rel_dist"] == start > 0.0
 
 
 def _count_products(monkeypatch):
@@ -280,7 +292,7 @@ def test_zero_signal_init_counts_no_matvecs(tmp_path, monkeypatch):
     counts = _count_products(monkeypatch)
     src = tmp_path / "black.pgm"
     netpbm.write_image(src, np.zeros((8, 8), dtype=np.uint8))
-    summary = harness.run_image_pipeline(str(src), str(tmp_path / "rec.pgm"), k=2, seed=0)
+    summary = run_image(src, tmp_path / "rec.pgm", k=2, seed=0)
     assert summary["init_matvecs"] == counts["init"] == 0
     assert summary["solve_matvecs"] == counts["solve"] == 2 * summary["iterations"] == 2
 
@@ -350,7 +362,7 @@ def test_non_finite_solve_fails_even_at_a_finite_iterate(tmp_path, monkeypatch):
         return rp.PhaseProblem(ensemble=ens, b=b, truth=problem.truth.copy())
 
     monkeypatch.setattr(harness, "take_measurements", corrupted)
-    with pytest.raises(harness.NumericalError, match="non-finite"):
+    with pytest.raises(FloatingPointError, match="non-finite"):
         harness.run_solve_experiment(solve_cfg(tmp_path, seeds=[0]))
 
 
@@ -465,7 +477,7 @@ def test_image_pipeline_recovers_gradient_image(tmp_path):
     src = tmp_path / "in.pgm"
     netpbm.write_image(src, gradient_image(16, 16))
     out = tmp_path / "out.pgm"
-    summary = harness.run_image_pipeline(str(src), str(out), k=3, seed=7)
+    summary = run_image(src, out, k=3, seed=7)
     assert summary["rel_dist"] <= 1e-5
     assert summary["exact_pixel_fraction"] >= 0.99
     recovered = netpbm.read_image(out)
@@ -476,19 +488,22 @@ def test_image_pipeline_recovers_gradient_image(tmp_path):
 def test_image_pipeline_reports_the_polyak_rule(tmp_path):
     src = tmp_path / "in.pgm"
     netpbm.write_image(src, gradient_image(8, 8))
-    summary = harness.run_image_pipeline(str(src), str(tmp_path / "out.pgm"), k=2, seed=1)
+    summary = run_image(src, tmp_path / "out.pgm", k=2, seed=1)
     assert summary["step_rule"] == "polyak"
     assert json.loads((tmp_path / "out.pgm.json").read_text())["step_rule"] == "polyak"
 
 
-def test_image_pipeline_all_black_image(tmp_path):
+def test_image_pipeline_all_black_image(tmp_path, capsys):
+    # A zero signal has no relative distance, as in solve: null, printed as None.
     src = tmp_path / "black.pgm"
     netpbm.write_image(src, np.zeros((8, 8), dtype=np.uint8))
     out = tmp_path / "rec.pgm"
-    summary = harness.run_image_pipeline(str(src), str(out), k=2, seed=0)
+    summary = run_image(src, out, quiet=False, k=2, seed=0)
     assert summary["status"] == "zero_subgradient"
     assert summary["iterations"] == 1
-    assert summary["rel_dist"] == 0.0
+    assert summary["rel_dist"] is None
+    assert json.loads((tmp_path / "rec.pgm.json").read_text())["rel_dist"] is None
+    assert " rel_dist=None exact=1.0000" in capsys.readouterr().out
     np.testing.assert_array_equal(netpbm.read_image(out), np.zeros((8, 8), np.uint8))
 
 
@@ -499,8 +514,7 @@ def test_capped_image_run_reports_the_relative_distance_of_its_last_iterate(tmp_
     img[12:24, 40:56] = 240
     src = tmp_path / "in.pgm"
     netpbm.write_image(src, img.astype(np.uint8))
-    summary = harness.run_image_pipeline(str(src), str(tmp_path / "out.pgm"),
-                                         k=3, seed=7, max_iters=20)
+    summary = run_image(src, tmp_path / "out.pgm", k=3, seed=7, max_iters=20)
     assert summary["status"] == "max_iters" and summary["iterations"] == 20
     assert summary["rel_dist"] == pytest.approx(2.230e-3, abs=5e-6)
 
@@ -526,7 +540,7 @@ def test_image_pipeline_flips_a_solve_that_ends_at_minus_the_signal(tmp_path, mo
     img = (255 * np.hypot(xx - 8, yy - 8) / 12.0).clip(0, 255).astype(np.uint8)
     src, out = tmp_path / "in.pgm", tmp_path / "out.pgm"
     netpbm.write_image(src, img)
-    summary = harness.run_image_pipeline(str(src), str(out), k=3, seed=1)
+    summary = run_image(src, out, k=3, seed=1)
     assert len(alignments) == 1 and alignments[0] < 0.0
     assert summary["exact_pixel_fraction"] == 1.0
     np.testing.assert_array_equal(netpbm.read_image(out), img)
@@ -537,7 +551,7 @@ def test_image_pipeline_pads_non_power_of_two(tmp_path):
     src = tmp_path / "np2.pgm"
     netpbm.write_image(src, img)
     out = tmp_path / "rec.pgm"
-    summary = harness.run_image_pipeline(str(src), str(out), k=3, seed=1)
+    summary = run_image(src, out, k=3, seed=1)
     assert summary["pad_len"] == 128
     np.testing.assert_array_equal(netpbm.read_image(out), img)
 
@@ -545,8 +559,7 @@ def test_image_pipeline_pads_non_power_of_two(tmp_path):
 def test_image_pipeline_takes_solver_settings(tmp_path):
     src = tmp_path / "in.pgm"
     netpbm.write_image(src, gradient_image(8, 8))
-    summary = harness.run_image_pipeline(str(src), str(tmp_path / "out.pgm"),
-                                         k=3, seed=7, max_iters=1)
+    summary = run_image(src, tmp_path / "out.pgm", k=3, seed=7, max_iters=1)
     assert summary["iterations"] == 1
     assert summary["status"] == "max_iters"
 
@@ -555,8 +568,8 @@ def test_image_pipeline_rejects_keys_image_does_not_take(tmp_path):
     src = tmp_path / "in.pgm"
     netpbm.write_image(src, gradient_image(8, 8))
     with pytest.raises(harness.ConfigError, match="unknown key 'd'"):
-        harness.run_image_pipeline(str(src), str(tmp_path / "out.pgm"),
-                                   k=3, seed=7, d=3)
+        harness.build_config("image", {"input": str(src), "output": str(tmp_path / "out.pgm"),
+                                       "k": "3", "seed": "7", "d": "3"})
 
 
 def test_image_pipeline_rgb(tmp_path):
@@ -564,7 +577,7 @@ def test_image_pipeline_rgb(tmp_path):
     src = tmp_path / "in.ppm"
     netpbm.write_image(src, rgb)
     out = tmp_path / "out.ppm"
-    summary = harness.run_image_pipeline(str(src), str(out), k=3, seed=5)
+    summary = run_image(src, out, k=3, seed=5)
     assert summary["channels"] == 3
     assert summary["exact_pixel_fraction"] >= 0.99
 
@@ -630,20 +643,20 @@ def test_run_certify_rejects_non_finite_scores_in_both_modes(tmp_path, monkeypat
         settings = {"candidates": str(tmp_path / "cand.json"),
                     "truth": str(tmp_path / "truth.json"), "m": "33"}
     cfg = harness.build_config("certify", {**settings, "out": str(tmp_path / "c.json")})
-    with pytest.raises(harness.NumericalError, match="non-finite certificate scores"):
+    with pytest.raises(FloatingPointError, match="non-finite certificate scores"):
         harness.run_certify(cfg)
     assert not (tmp_path / "c.json").exists()
 
 
 def test_certify_points_rejects_non_finite_scores():
-    with pytest.raises(harness.NumericalError):
+    with pytest.raises(FloatingPointError):
         harness.certify_points([[1e308, 1e308]], [1.0, 1.0], 10)
 
 
 def test_certify_points_rejects_an_overflowing_candidate_against_an_axis_signal():
     # <x, xbar> overflows, and the split multiplies the infinite coefficient
     # by xbar's zero entry; that must end as a numerical failure, not a warning.
-    with pytest.raises(harness.NumericalError):
+    with pytest.raises(FloatingPointError):
         harness.certify_points([[1e308, 1e308]], [2.0, 0.0], 10)
 
 
@@ -658,9 +671,10 @@ def test_certify_points_rejects_an_overflowing_candidate_against_an_axis_signal(
 ])
 def test_run_probe_kinds(tmp_path, probe, key):
     out = tmp_path / "probe.json"
+    # Only the sampling probes take samples.
+    samples = {} if probe == "weak_convexity" else {"samples": "20"}
     cfg = harness.build_config("probe", {
-        "probe": probe, "d": "10", "m": "60", "seed": "1", "samples": "20",
-        "out": str(out)})
+        "probe": probe, "d": "10", "m": "60", "seed": "1", **samples, "out": str(out)})
     cfg.quiet = True
     result = harness.run_probe(cfg)
     assert key in result

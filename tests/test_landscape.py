@@ -517,6 +517,14 @@ def test_certify_rejects_a_zero_signal_and_no_measurements():
         rp.certify_stationary(np.ones(2), np.ones(2), 0)
 
 
+@pytest.mark.parametrize("x, xbar", [([math.nan, 1.0], [2.0, 0.0]), ([1.0, math.nan], [1.0, 1.0]),
+                                     ([math.inf, 0.0], [1.0, 1.0])])
+def test_certify_rejects_a_candidate_that_is_not_finite(x, xbar):
+    # NaN comparisons used to fall through to the ring verdict.
+    with pytest.raises(FloatingPointError, match="non-finite entry"):
+        rp.certify_stationary(x, xbar, 10)
+
+
 @pytest.mark.parametrize("threshold", [math.nan, -1.0])
 def test_certify_rejects_a_threshold_that_is_not_at_least_zero(threshold):
     # A NaN threshold used to turn the unexplained verdict off.

@@ -71,6 +71,8 @@ def test_run_max_iters_zero_returns_start():
     assert trace.status == rp.MAX_ITERS
     assert trace.records == []
     np.testing.assert_array_equal(trace.final_x, x0)
+    rel = min(np.linalg.norm(x0 - p.truth), np.linalg.norm(x0 + p.truth)) / np.linalg.norm(p.truth)
+    assert trace.final_rel_dist == rel
 
 
 def test_solver_config_rejects_a_negative_iteration_budget():
@@ -257,6 +259,7 @@ def test_geometric_rule_stops_when_the_step_vanishes_relative_to_x():
     assert trace.status == rp.STEP_VANISHED == "step_vanished"
     assert trace.iterations == first + 1
     assert all(r.rel_dist is None for r in trace.records)
+    assert trace.final_rel_dist is None
     nx = np.linalg.norm(trace.final_x)
     travel = [r.step_length / 0.05 for r in trace.records[-2:]]
     assert travel[1] <= tol * nx < travel[0]
@@ -316,3 +319,25 @@ def test_explicit_min_value_on_corrupted_data_takes_polyak_steps():
         gn = float(np.linalg.norm(zeta))
         assert (r.f_value, r.subgrad_norm, r.step_length) == (f, gn, f / gn)
         x = x - (f / gn**2) * zeta
+
+
+@pytest.mark.parametrize("kind", ["dense", "sketch", "corrupted"])
+def test_the_trace_reports_its_rule_products_and_final_distance(kind):
+    # final_rel_dist is the last record's rel_dist, bit for bit, whether the
+    # run is capped early or stops on its own.
+    if kind == "dense":
+        p = seeded_problem(30, 120, seed=3)
+    elif kind == "sketch":
+        p = rp.measure(rp.hadamard_ensemble(64, 3, seed=2), rp.rng_for(2, 99).standard_normal(64))
+    else:
+        p = corrupted_problem(0.15, 1, d=20, m=160)
+    min_value = None if kind == "corrupted" else 0.0
+    x0 = rp.spectral_init(p, seed=1).x0
+    for max_iters in (1, 7, 2000):
+        trace = rp.run(p, x0, rp.SolverConfig(min_value=min_value, max_iters=max_iters,
+                                              tol_dist=1e-10))
+        assert trace.final_rel_dist is not None
+        assert trace.final_rel_dist == trace.records[-1].rel_dist
+        assert trace.step_rule == ("geometric" if kind == "corrupted" else "polyak")
+        assert trace.matvecs == 2 * trace.iterations
+    assert trace.status == rp.CONVERGED

@@ -174,10 +174,8 @@ def test_spectral_init_zero_rows_give_the_zero_start():
 
 def test_selection_fallback_for_constant_measurements():
     # nothing satisfies b_i <= mean/2, so the ceil(m/2) smallest are kept
-    mask = spectral.selection_mask(np.full(5, 2.0))
-    assert mask.sum() == 3
-    mask = spectral.selection_mask(np.full(4, 1.0))
-    assert mask.sum() == 2
+    for b, kept in ((np.full(5, 2.0), 3), (np.full(4, 1.0), 2)):
+        assert spectral.selection_mask(b, b.mean()).sum() == kept
 
 
 def test_spectral_init_matrix_free_matches_densified():
@@ -224,7 +222,7 @@ def test_min_eigenvector_matches_eigh_oracle(d):
 
 def test_capped_init_is_reported(tmp_path, monkeypatch):
     problem = bench_shaped_problem()
-    mask = spectral.selection_mask(problem.b)
+    mask = spectral.selection_mask(problem.b, problem.b.mean())
     ens = problem.ensemble
 
     def op(v):
@@ -273,7 +271,7 @@ def test_init_direction_matches_eigh_oracle(d, m):
         ens = rp.gaussian_ensemble(d, m, seed=seed)
         xbar = rp.rng_for(seed, 99).standard_normal(d)
         problem = rp.measure(ens, xbar)
-        mask = spectral.selection_mask(problem.b)
+        mask = spectral.selection_mask(problem.b, problem.b.mean())
         w_eigh = np.linalg.eigh((ens.rows.T * mask) @ ens.rows)[1][:, 0]
         x0 = rp.spectral_init(problem, seed=seed).x0
         u = xbar / np.linalg.norm(xbar)
