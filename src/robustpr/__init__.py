@@ -51,6 +51,7 @@ from .solver import (
     geometric_rate_estimate,
     polyak_step,
     run,
+    run_ladder,
 )
 from .spectral import (
     EigenResult,

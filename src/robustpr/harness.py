@@ -215,9 +215,10 @@ def _init_and_solve(problem, cfg, seed):
 
     A given ``min_value`` selects the Polyak step; without one, noiseless
     data takes the Polyak step to 0 and corrupted data, whose minimum is
-    unknown, the geometric step.  Returns the init report, the trace, and the
-    summary entries every command reports: step rule, stop status,
-    iterations, init convergence, the matvecs (forward or adjoint products) and
+    unknown, the geometric step, on the solver's ladder of decays.  Returns
+    the init report, the trace, and the summary entries every command
+    reports: step rule, stop status, iterations, ladder restarts, init
+    convergence, the matvecs (forward or adjoint products) and
     seconds of each stage, and wall time, their sum; the solver and the init
     report their own rule and products.
     """
@@ -229,7 +230,7 @@ def _init_and_solve(problem, cfg, seed):
     t0 = time.perf_counter()
     report = spectral.spectral_init(problem, seed)
     t1 = time.perf_counter()
-    trace = solver.run(problem, report.x0, solver_cfg)
+    trace = solver.run_ladder(problem, report.x0, solver_cfg)
     t2 = time.perf_counter()
     if trace.status == solver.NON_FINITE:
         raise FloatingPointError("non-finite objective or subgradient in the solve")
@@ -238,6 +239,7 @@ def _init_and_solve(problem, cfg, seed):
         "step_rule": trace.step_rule,
         "status": trace.status,
         "iterations": trace.iterations,
+        "restarts": trace.restarts,
         "init_converged": report.converged,
         "init_iters": report.iters,
         "init_residual": _json_scalar(report.residual),
@@ -433,8 +435,12 @@ def _certificate(name, x, xbar, m, threshold, **extra):
 
 
 def certify_points(points, xbar, m, threshold=landscape.DEFAULT_THRESHOLD):
-    """Certificates for a list of candidate points against signal xbar."""
+    """Certificates for a list of candidate points against signal xbar.
+
+    A non-finite xbar raises FloatingPointError before any candidate is scored.
+    """
     xbar = np.asarray(xbar, dtype=np.float64)
+    ensure_finite("truth", xbar)
     return [_certificate(f"candidate {idx}", np.asarray(point, dtype=np.float64), xbar, m,
                          threshold, index=idx)
             for idx, point in enumerate(points)]
@@ -466,7 +472,8 @@ def run_certify(cfg):
                 continue
             results.append(_certificate(
                 f"the final iterate of seed {seed}", trace.final_x, problem.truth, problem.m,
-                cfg.threshold, seed=seed, final_rel_dist=_json_scalar(summary["final_rel_dist"])))
+                cfg.threshold, seed=seed, final_rel_dist=_json_scalar(summary["final_rel_dist"]),
+                restarts=summary["restarts"]))
     if cfg.out is not None:
         write_json(cfg.out, results)
     if not cfg.quiet:

@@ -164,6 +164,18 @@ def test_certify_a_nan_candidate_is_a_numerical_failure(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_certify_a_non_finite_truth_is_a_numerical_failure_of_the_truth(tmp_path, capsys, bad):
+    # The truth file holds NaN or Infinity; the candidate is finite.
+    out = tmp_path / "c.json"
+    args = _certify_files(tmp_path, [1.0, 1.0], [bad, 1.0])
+    assert main(["certify", *args, f"out={out}", "quiet=true"]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: non-finite values in truth" in err
+    assert "candidate" not in err
+    assert not out.exists()
+
+
 def test_certify_rejects_a_candidate_whose_length_is_not_the_truths(tmp_path, capsys):
     out = tmp_path / "c.json"
     args = _certify_files(tmp_path, [1.0, 2.0, 3.0], [1.0, 1.0])

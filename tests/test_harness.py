@@ -313,7 +313,9 @@ def test_corrupted_solve_takes_the_geometric_step_and_recovers(tmp_path):
     assert summary["step_rule"] == "geometric"
     assert summary["status"] == "converged"
     assert summary["final_rel_dist"] <= 1e-10
-    assert summary["iterations"] <= 420
+    # The first rung of the ladder, q = 0.85, recovers the signal.
+    assert summary["restarts"] == 0
+    assert summary["iterations"] <= 140
     assert json.loads((tmp_path / "summary.json").read_text())[0]["step_rule"] == "geometric"
 
 
@@ -325,6 +327,22 @@ def test_corrupted_solve_recovers_with_thirty_percent_gross_errors(tmp_path, see
                     noise_scale=1e4, noise_seed=100 + seed, max_iters=2000, tol_dist=1e-10)
     (summary,) = harness.run_solve_experiment(cfg)
     assert summary["final_rel_dist"] <= 1e-9
+    # The q = 0.85 rung stops short, so the q = 0.95 rung recovers the signal.
+    assert summary["restarts"] == 1
+    assert summary["rate_estimate"] < 1.0
+
+
+def test_a_ladder_capped_in_its_second_rung_reports_its_restart_and_no_rate(tmp_path):
+    # The first rung ends step_vanished after 140 iterates here; the second
+    # gets the 30 left, too few records for the 50-step rate window.
+    cfg = solve_cfg(tmp_path, d=200, m=1600, seeds=[0], noise_p_fail=0.30,
+                    noise_scale=1e4, noise_seed=100, max_iters=170, tol_dist=1e-10)
+    (summary,) = harness.run_solve_experiment(cfg)
+    assert (summary["status"], summary["iterations"], summary["restarts"]) == ("max_iters", 170, 1)
+    assert summary["solve_matvecs"] == 340
+    assert summary["rate_estimate"] is None
+    ks = [line.split(",")[0] for line in (tmp_path / "trace_seed0.csv").read_text().split()[1:]]
+    assert ks == [str(k) for k in range(170)]
 
 
 @pytest.mark.parametrize("noise, min_value", [({}, None), ({}, 0.0),
@@ -334,6 +352,7 @@ def test_solve_takes_polyak_steps_on_noiseless_data_or_a_given_min_value(tmp_pat
     cfg = solve_cfg(tmp_path, seeds=[0], min_value=min_value, max_iters=60, **noise)
     (summary,) = harness.run_solve_experiment(cfg)
     assert summary["step_rule"] == "polyak"
+    assert summary["restarts"] == 0
     lines = (tmp_path / "trace_seed0.csv").read_text().strip().split("\n")[1:]
     assert len(lines) == summary["iterations"]
     for line in lines:
@@ -489,8 +508,9 @@ def test_image_pipeline_reports_the_polyak_rule(tmp_path):
     src = tmp_path / "in.pgm"
     netpbm.write_image(src, gradient_image(8, 8))
     summary = run_image(src, tmp_path / "out.pgm", k=2, seed=1)
-    assert summary["step_rule"] == "polyak"
-    assert json.loads((tmp_path / "out.pgm.json").read_text())["step_rule"] == "polyak"
+    assert (summary["step_rule"], summary["restarts"]) == ("polyak", 0)
+    saved = json.loads((tmp_path / "out.pgm.json").read_text())
+    assert (saved["step_rule"], saved["restarts"]) == ("polyak", 0)
 
 
 def test_image_pipeline_all_black_image(tmp_path, capsys):
@@ -625,6 +645,7 @@ def test_run_certify_harvests_capped_runs(tmp_path):
     results = harness.run_certify(cfg)
     assert len(results) == 2  # a 5-step budget cannot converge
     for r in results:
+        assert r["restarts"] == 0  # certify solves noiseless data by Polyak's rule
         assert r["verdict"] in (rp.NEAR_SIGNAL, rp.NEAR_ZERO,
                                 rp.NEAR_ORTHOGONAL_RING, rp.UNEXPLAINED)
 

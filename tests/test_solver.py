@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import robustpr as rp
+from robustpr import solver
 
 
 def single_row_problem(a, b, truth=None):
@@ -283,6 +285,88 @@ def test_geometric_rule_reports_a_recovered_signal_as_converged(seed, iterations
     assert trace.records[-1].rel_dist <= tol
     nb = np.linalg.norm(p.truth)
     assert any(r.step_length <= tol * nb for r in trace.records) == step_below_tol
+
+
+# ---------------------------------------------------------------------------
+# ladder of geometric decays (run_ladder)
+# ---------------------------------------------------------------------------
+
+def solve_command_problem(p_fail, seed, scale=1e4, d=200, m=1600):
+    """The problem and spectral start that ``robustpr solve`` builds for a seed."""
+    p = rp.measure(rp.gaussian_ensemble(d, m, seed), rp.rng_for(seed, 40).standard_normal(d),
+                   rp.NoiseModel(p_fail=p_fail, scale=scale, seed=100 + seed))
+    return p, rp.spectral_init(p, seed=seed).x0
+
+
+GEOMETRIC = rp.SolverConfig(min_value=None, tol_dist=1e-10)
+
+
+def test_the_ladder_tries_the_fast_decay_first_and_ends_on_the_default():
+    assert solver.GEOMETRIC_DECAYS == (0.85, 0.95)
+    assert rp.SolverConfig().decay == solver.GEOMETRIC_DECAY == solver.GEOMETRIC_DECAYS[-1]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_the_ladder_recovers_in_its_first_rung_at_fifteen_percent(seed):
+    p = corrupted_problem(0.15, seed)
+    x0 = rp.spectral_init(p, seed=seed).x0
+    trace = rp.run_ladder(p, x0, GEOMETRIC)
+    assert (trace.status, trace.restarts, trace.final_rung_start) == (rp.CONVERGED, 0, 0)
+    assert trace.final_rel_dist <= 1e-10
+    assert trace.iterations <= 140
+    lam = 0.1 * np.linalg.norm(x0)
+    assert [r.step_length for r in trace.records] == [lam * 0.85**k
+                                                      for k in range(trace.iterations)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_vanished_first_rung_falls_back_to_the_default_run_bit_for_bit(seed):
+    # At p_fail 0.30 the q = 0.85 steps vanish 7e-3 to 7e-2 short of the
+    # signal; the second rung restarts from x0 and is the q = 0.95 run.
+    p, x0 = solve_command_problem(0.30, seed)
+    trace = rp.run_ladder(p, x0, GEOMETRIC)
+    fast = rp.run(p, x0, dataclasses.replace(GEOMETRIC, decay=0.85))
+    slow = rp.run(p, x0, GEOMETRIC)
+    assert fast.status == rp.STEP_VANISHED and fast.final_rel_dist > 1e-3
+    assert (trace.restarts, trace.final_rung_start) == (1, fast.iterations)
+    assert fast.iterations <= 145
+    assert trace.status == slow.status == rp.CONVERGED
+    assert trace.final_x.tobytes() == slow.final_x.tobytes()
+    assert trace.final_rel_dist == slow.final_rel_dist
+    assert trace.iterations == fast.iterations + slow.iterations
+    assert [r.k for r in trace.records] == list(range(trace.iterations))
+    start = fast.iterations
+    assert [dataclasses.replace(r, k=r.k - start) for r in trace.records[start:]] == slow.records
+    assert trace.records[:start] == fast.records
+    assert rp.geometric_rate_estimate(trace) == rp.geometric_rate_estimate(slow)
+
+
+def test_max_iters_caps_the_iterates_of_all_rungs_together():
+    p, x0 = solve_command_problem(0.30, 0)
+    first = rp.run(p, x0, dataclasses.replace(GEOMETRIC, decay=0.85)).iterations
+    for max_iters, status, restarts in [(first - 1, rp.MAX_ITERS, 0),
+                                        (first, rp.STEP_VANISHED, 0),
+                                        (first + 30, rp.MAX_ITERS, 1)]:
+        trace = rp.run_ladder(p, x0, dataclasses.replace(GEOMETRIC, max_iters=max_iters))
+        assert (trace.status, trace.restarts) == (status, restarts)
+        assert trace.iterations == max_iters
+        assert trace.matvecs == 2 * max_iters
+    # The final rung has 30 records: too few for a 50-step window, though
+    # the whole trace has more than 51.
+    with pytest.raises(ValueError, match="trace has 30 records, need 51"):
+        rp.geometric_rate_estimate(trace, window=50)
+
+
+@pytest.mark.parametrize("min_value, start", [(0.0, "spectral"), (None, "origin")])
+def test_a_run_that_does_not_vanish_is_one_rung(min_value, start):
+    # A Polyak run never ends step_vanished; from the origin the geometric
+    # rule stops at once on a vanishing subgradient (tol_dist None).
+    p = corrupted_problem(0.15, 1, d=20, m=160)
+    x0 = rp.spectral_init(p, seed=1).x0 if start == "spectral" else np.zeros(20)
+    cfg = rp.SolverConfig(min_value=min_value, max_iters=60, tol_dist=None)
+    ladder, single = rp.run_ladder(p, x0, cfg), rp.run(p, x0, cfg)
+    assert (ladder.restarts, ladder.status, ladder.records) == (0, single.status, single.records)
+    assert ladder.final_x.tobytes() == single.final_x.tobytes()
 
 
 def test_geometric_rule_without_tol_dist_never_reports_a_vanished_step():
