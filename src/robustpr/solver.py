@@ -56,7 +56,9 @@ DEFAULT_MAX_ITERS = 2000
 class SolverConfig:
     """``min_value`` selects the step rule: Polyak given a number, geometric given None.
 
-    ``decay`` is the geometric rule's q; the Polyak rule ignores it.
+    ``decay`` is the geometric rule's q, in (0, 1), for ``run``; the Polyak
+    rule and ``run_ladder``, which takes its decays from ``GEOMETRIC_DECAYS``,
+    ignore it.
     """
 
     min_value: float | None = 0.0
@@ -68,6 +70,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.max_iters < 0:
             raise ValueError(f"max_iters must be at least 0, got {self.max_iters}")
+        if not 0.0 < self.decay < 1.0:
+            raise ValueError(f"decay must lie in (0, 1), got {self.decay}")
 
 
 @dataclass(frozen=True)
@@ -211,11 +215,16 @@ def run_ladder(problem, x0, cfg):
     evaluated iterates of all rungs together.  The returned trace is the
     final rung's, with every rung's records in order and ``k`` counting on
     across rungs, ``restarts`` the rungs after the first and
-    ``final_rung_start`` the index of the final rung's first record.  A run
-    that never vanishes, such as every Polyak run, is one ``run``.
+    ``final_rung_start`` the index of the final rung's first record.
+    ``cfg.decay`` is ignored.  A run that cannot vanish short of the signal
+    is one ``run`` at the last decay, bit for bit: every Polyak run, a run
+    without ``tol_dist`` (its steps never vanish) and a run from x0 = 0
+    (lam = 0, so every rung stops on its first iterate).
     """
+    climbs = (cfg.min_value is None and cfg.tol_dist is not None
+              and np.any(np.asarray(x0) != 0))
     records = []
-    for restarts, decay in enumerate(GEOMETRIC_DECAYS):
+    for restarts, decay in enumerate(GEOMETRIC_DECAYS if climbs else GEOMETRIC_DECAYS[-1:]):
         start = len(records)
         trace = run(problem, x0, replace(cfg, decay=decay, max_iters=cfg.max_iters - start))
         records += ([replace(r, k=start + r.k) for r in trace.records] if start

@@ -332,6 +332,17 @@ def test_corrupted_solve_recovers_with_thirty_percent_gross_errors(tmp_path, see
     assert summary["rate_estimate"] < 1.0
 
 
+def test_corrupted_solve_without_tol_dist_runs_the_default_decay_and_recovers(tmp_path):
+    # Without tol_dist no step vanishes, so the ladder cannot tell a stalled
+    # q = 0.85 run from a recovery and runs q = 0.95 alone, as before.
+    cfg = solve_cfg(tmp_path, d=200, m=1600, seeds=[0], noise_p_fail=0.30,
+                    noise_scale=1e4, noise_seed=100, max_iters=600, tol_dist=None)
+    (summary,) = harness.run_solve_experiment(cfg)
+    assert (summary["status"], summary["iterations"], summary["restarts"]) == ("max_iters", 600, 0)
+    assert summary["final_rel_dist"] <= 1e-9
+    assert summary["rate_estimate"] < 1.0
+
+
 def test_a_ladder_capped_in_its_second_rung_reports_its_restart_and_no_rate(tmp_path):
     # The first rung ends step_vanished after 140 iterates here; the second
     # gets the 30 left, too few records for the 50-step rate window.

@@ -357,16 +357,40 @@ def test_max_iters_caps_the_iterates_of_all_rungs_together():
         rp.geometric_rate_estimate(trace, window=50)
 
 
-@pytest.mark.parametrize("min_value, start", [(0.0, "spectral"), (None, "origin")])
-def test_a_run_that_does_not_vanish_is_one_rung(min_value, start):
-    # A Polyak run never ends step_vanished; from the origin the geometric
-    # rule stops at once on a vanishing subgradient (tol_dist None).
+@pytest.mark.parametrize("decay", [0.0, 1.0, -0.5, 1.5, math.nan])
+def test_solver_config_rejects_a_decay_outside_the_unit_interval(decay):
+    with pytest.raises(ValueError, match="decay must lie in"):
+        rp.SolverConfig(min_value=None, decay=decay)
+
+
+@pytest.mark.parametrize("min_value, start, tol_dist",
+                         [(0.0, "spectral", None), (None, "origin", None),
+                          (None, "origin", 1e-10)])
+def test_a_run_that_does_not_vanish_is_one_rung(min_value, start, tol_dist):
+    # A Polyak run never ends step_vanished; from the origin lam = 0, so the
+    # geometric rule stops at once on a vanishing subgradient (tol_dist None)
+    # or a vanished step (tol_dist set) that no later rung could lengthen.
     p = corrupted_problem(0.15, 1, d=20, m=160)
     x0 = rp.spectral_init(p, seed=1).x0 if start == "spectral" else np.zeros(20)
-    cfg = rp.SolverConfig(min_value=min_value, max_iters=60, tol_dist=None)
+    cfg = rp.SolverConfig(min_value=min_value, max_iters=60, tol_dist=tol_dist)
     ladder, single = rp.run_ladder(p, x0, cfg), rp.run(p, x0, cfg)
     assert (ladder.restarts, ladder.status, ladder.records) == (0, single.status, single.records)
     assert ladder.final_x.tobytes() == single.final_x.tobytes()
+    if start == "origin":
+        assert ladder.iterations == 1
+
+
+def test_without_tol_dist_the_ladder_is_the_default_run_bit_for_bit():
+    # No rung can end step_vanished without tol_dist, so a q = 0.85 rung
+    # would stall short of the signal for the whole budget; the ladder runs
+    # the q = 0.95 rung alone, which recovers the signal.
+    p, x0 = solve_command_problem(0.30, 0)
+    cfg = rp.SolverConfig(min_value=None, max_iters=600, tol_dist=None)
+    ladder, slow = rp.run_ladder(p, x0, cfg), rp.run(p, x0, cfg)
+    assert (ladder.restarts, ladder.status, ladder.iterations) == (0, rp.MAX_ITERS, 600)
+    assert ladder.records == slow.records
+    assert ladder.final_x.tobytes() == slow.final_x.tobytes()
+    assert ladder.final_rel_dist == slow.final_rel_dist <= 1e-9
 
 
 def test_geometric_rule_without_tol_dist_never_reports_a_vanished_step():
