@@ -7,8 +7,9 @@ ratios stagnate; from around m = 3d the method converges linearly to the
 signal (up to global sign).  A last run corrupts 15% of the measurements
 with gross errors; the minimal value is then unknown, so the solver takes
 geometrically decaying steps instead of Polyak's and still recovers the
-signal exactly; its fast first decay, q = 0.85, suffices here, so the line
-reports restarts=0 (a harder problem would restart at q = 0.95).
+signal exactly.  ``solver.run`` tries the fast decay q = 0.85 first, which
+suffices here, so the line reports restarts=0; a harder problem would restart
+at q = 0.95 within the same run, as a library call to ``solver.run`` would.
 
 Run:  python demos/solve_convergence.py
 """

@@ -33,7 +33,6 @@ from .objective import (
     concentration_probe,
     gaussian_abs_product_mean,
     sharpness_probe,
-    subgradient,
     value,
     value_and_subgradient,
     weak_convexity_modulus,
@@ -51,7 +50,6 @@ from .solver import (
     geometric_rate_estimate,
     polyak_step,
     run,
-    run_ladder,
 )
 from .spectral import (
     EigenResult,

@@ -202,12 +202,11 @@ def _seeded_problem(cfg, seed):
         ens = hadamard_ensemble(cfg.l, cfg.k, seed)
     else:
         raise ConfigError(f"unknown ensemble kind {cfg.kind!r}")
-    noise = None
-    if cfg.noise_p_fail > 0.0:
-        noise = NoiseModel(p_fail=cfg.noise_p_fail, scale=cfg.noise_scale,
-                           seed=cfg.noise_seed, kind=cfg.noise_kind)
+    # Checked on every solve; data at p_fail 0 is measured without a noise model.
+    noise = NoiseModel(p_fail=cfg.noise_p_fail, scale=cfg.noise_scale,
+                       seed=cfg.noise_seed, kind=cfg.noise_kind)
     xbar = rng_for(seed, _TAG_SIGNAL).standard_normal(ens.d)
-    return take_measurements(ens, xbar, noise)
+    return take_measurements(ens, xbar, noise if noise.p_fail > 0.0 else None)
 
 
 def _init_and_solve(problem, cfg, seed):
@@ -215,12 +214,12 @@ def _init_and_solve(problem, cfg, seed):
 
     A given ``min_value`` selects the Polyak step; without one, noiseless
     data takes the Polyak step to 0 and corrupted data, whose minimum is
-    unknown, the geometric step, on the solver's ladder of decays.  Returns
-    the init report, the trace, and the summary entries every command
-    reports: step rule, stop status, iterations, ladder restarts, init
-    convergence, the matvecs (forward or adjoint products) and
-    seconds of each stage, and wall time, their sum; the solver and the init
-    report their own rule and products.
+    unknown, the geometric step, which ``solver.run`` climbs through its
+    decays.  Returns the init report, the trace, and the summary entries
+    every command reports: step rule, stop status, iterations, ladder
+    restarts, init convergence, the matvecs (forward or adjoint products)
+    and seconds of each stage, and wall time, their sum; the solver and the
+    init report their own rule and products.
     """
     min_value = cfg.min_value
     if min_value is None and problem.noiseless:
@@ -230,7 +229,7 @@ def _init_and_solve(problem, cfg, seed):
     t0 = time.perf_counter()
     report = spectral.spectral_init(problem, seed)
     t1 = time.perf_counter()
-    trace = solver.run_ladder(problem, report.x0, solver_cfg)
+    trace = solver.run(problem, report.x0, solver_cfg)
     t2 = time.perf_counter()
     if trace.status == solver.NON_FINITE:
         raise FloatingPointError("non-finite objective or subgradient in the solve")

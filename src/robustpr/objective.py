@@ -5,12 +5,13 @@ The objective is the mean absolute residual
     f(x) = (1/m) sum_i |<a_i, x>^2 - b_i|,
 
 whose chain-rule subgradient is (2/m) A^T (s * Ax) with s_i the sign of the
-i-th residual and sign(0) := 0; both take one x or an (N, d) block of points,
-one per row.  The weak-convexity modulus has a closed form (see
-``weak_convexity_modulus``).  The probes estimate the sharpness slope and the
-deviation of the empirical absolute product (1/m) sum_i |<a_i,v><a_i,w>| from
-its Gaussian mean.  Probe results are empirical extremes over finite seeded
-samples, at least one: statistical evidence, not certificates.
+i-th residual and sign(0) := 0; ``value`` and ``value_and_subgradient`` take
+one x or an (N, d) block of points, one per row.  The weak-convexity modulus
+has a closed form (see ``weak_convexity_modulus``).  The probes estimate the
+sharpness slope and the deviation of the empirical absolute product
+(1/m) sum_i |<a_i,v><a_i,w>| from its Gaussian mean.  Probe results are
+empirical extremes over finite seeded samples, at least one: statistical
+evidence, not certificates.
 """
 
 from __future__ import annotations
@@ -44,24 +45,15 @@ def _mean_abs(r):
     return f if f.ndim else float(f)
 
 
-def _chain_rule(problem, ax, r):
-    return (2.0 / problem.m) * apply_adjoint(problem.ensemble, np.sign(r) * ax)
-
-
 def value_and_subgradient(problem, x):
     """Value and subgradient at x from a single forward product A x."""
     ax, r = _residuals(problem, x)
-    return _mean_abs(r), _chain_rule(problem, ax, r)
+    return _mean_abs(r), (2.0 / problem.m) * apply_adjoint(problem.ensemble, np.sign(r) * ax)
 
 
 def value(problem, x):
     """Mean absolute residual of x on the problem."""
     return _mean_abs(_residuals(problem, x)[1])
-
-
-def subgradient(problem, x):
-    """Chain-rule subgradient (2/m) A^T (sign(residual) * Ax), sign(0) = 0."""
-    return _chain_rule(problem, *_residuals(problem, x))
 
 
 def weak_convexity_modulus(problem):

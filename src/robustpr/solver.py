@@ -9,18 +9,19 @@ is 0.  Corrupted problems have an unknown positive minimum; with
 ``min_value=None`` the step is geometrically decaying instead (Davis,
 Drusvyatskiy, MacPhee & Paquette, arXiv:1803.02461):
 
-    x_next = x - lam * q^k * zeta / |zeta|,   lam = 0.1 |x0|,  q = SolverConfig.decay,
+    x_next = x - lam * q^j * zeta / |zeta|,   lam = 0.1 |x0|,
 
 which converges linearly on sharp, weakly convex objectives started within a
 constant relative distance of the signal.  The decay q trades speed for
-reach, so ``run_ladder`` climbs ``GEOMETRIC_DECAYS``: it runs at q = 0.85 and,
+reach, so ``run`` climbs ``GEOMETRIC_DECAYS``: it runs at q = 0.85 and,
 only when those steps vanish short of the signal, reruns from the same start
-at the default q = 0.95.  Easy data then takes about a third of the q = 0.95
-steps, and a hard problem ends on the q = 0.95 run itself.
+at q = 0.95, with j counting the steps of the current rung.  Easy data then
+takes about a third of the q = 0.95 steps, and a hard problem ends on the
+q = 0.95 run itself.
 
 Both rules share one loop, which stops on a value tolerance, a
 relative-distance tolerance (when the signal is known), geometric steps
-whose remaining travel lam q^k / (1 - q) is at most ``tol_dist * |x|``
+whose remaining travel lam q^j / (1 - q) is at most ``tol_dist * |x|``
 (status ``step_vanished``), a vanishing subgradient, a value or subgradient
 norm that is not finite (status ``non_finite``, recorded for that iterate),
 or the iteration cap; tolerances set to 0 / None are disabled.
@@ -29,7 +30,7 @@ or the iteration cap; tolerances set to 0 / None are disabled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,11 +43,10 @@ NON_FINITE = "non_finite"
 STEP_VANISHED = "step_vanished"
 
 # The geometric rule's first step is GEOMETRIC_SCALE * |x0| long, and each
-# step is SolverConfig.decay (GEOMETRIC_DECAY unless set) times the one before.
+# step is the rung's decay times the one before; run tries the decays in
+# turn, fastest first.
 GEOMETRIC_SCALE = 0.1
-GEOMETRIC_DECAY = 0.95
-# The decays run_ladder tries in turn, fastest first.
-GEOMETRIC_DECAYS = (0.85, GEOMETRIC_DECAY)
+GEOMETRIC_DECAYS = (0.85, 0.95)
 
 # The iteration cap when none is given.
 DEFAULT_MAX_ITERS = 2000
@@ -54,24 +54,20 @@ DEFAULT_MAX_ITERS = 2000
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """``min_value`` selects the step rule: Polyak given a number, geometric given None.
-
-    ``decay`` is the geometric rule's q, in (0, 1), for ``run``; the Polyak
-    rule and ``run_ladder``, which takes its decays from ``GEOMETRIC_DECAYS``,
-    ignore it.
-    """
+    """``min_value`` selects the step rule: Polyak given a number, geometric given None."""
 
     min_value: float | None = 0.0
     max_iters: int = DEFAULT_MAX_ITERS
     tol_value: float = 0.0
     tol_dist: float | None = None
-    decay: float = GEOMETRIC_DECAY
 
     def __post_init__(self):
         if self.max_iters < 0:
             raise ValueError(f"max_iters must be at least 0, got {self.max_iters}")
-        if not 0.0 < self.decay < 1.0:
-            raise ValueError(f"decay must lie in (0, 1), got {self.decay}")
+        for name in ("tol_value", "tol_dist"):
+            tol = getattr(self, name)
+            if tol is not None and not tol >= 0.0:
+                raise ValueError(f"{name} must be at least 0, got {tol}")
 
 
 @dataclass(frozen=True)
@@ -101,8 +97,8 @@ class TraceRecord:
 class SolveTrace:
     """A run's records, last iterate and its distance, stop status and step rule (see ``run``).
 
-    ``restarts`` counts the ladder rungs after the first, and the final rung's
-    records start at ``records[final_rung_start]`` (see ``run_ladder``).
+    ``restarts`` counts the rungs after the first, and the final rung's
+    records start at ``records[final_rung_start]``.
     """
 
     records: list[TraceRecord] = field(default_factory=list)
@@ -152,86 +148,67 @@ def run(problem, x0, cfg):
     """Iterate subgradient steps from x0 until a stopping rule fires.
 
     The step rule is Polyak's when ``cfg.min_value`` is a number and the
-    geometric one when it is None (``step_rule`` ``polyak`` or ``geometric``);
-    only the geometric rule, with q = ``cfg.decay``, stops with
-    ``step_vanished``, once all its remaining steps together,
-    lam * q^k / (1 - q), are no longer than
-    tol_dist * |x|: the iterate can then move no further than the distance
-    tolerance (at x0 = 0 that is the first iterate).  One trace record is written per evaluated iterate; its
-    ``step_length`` is the step's ``PolyakStep.length``, lam * q^k for the
-    geometric rule.  ``rel_dist`` is min(|x-xbar|, |x+xbar|) / |xbar| and is
-    present only when the problem stores a nonzero signal.  ``final_x`` is the
-    iterate the last record describes (x0 when there is no record), and
-    ``final_rel_dist`` its relative distance by the same rule.
+    geometric one when it is None (``step_rule`` ``polyak`` or ``geometric``).
+    The geometric rule runs the rungs of ``GEOMETRIC_DECAYS`` in turn, each
+    from x0; a rung ends ``step_vanished`` once lam * q^j / (1 - q) is at
+    most tol_dist * |x|, and only such a rung, with iterations left under
+    ``cfg.max_iters`` (the cap on all rungs together), is followed by the
+    next.  A run that cannot vanish short of the signal is one rung at the
+    last decay: a Polyak run, ``tol_dist`` None or 0, or x0 = 0 (lam = 0).
+
+    One trace record is written per evaluated iterate, with ``k`` counting on
+    across rungs; its ``step_length`` is the step's ``PolyakStep.length``, and
+    ``rel_dist``, min(|x-xbar|, |x+xbar|) / |xbar|, is present only when the
+    problem stores a nonzero signal.  ``final_x`` is the iterate the last
+    record describes (x0 when there is none), and ``final_rel_dist`` its
+    relative distance by the same rule.
     """
-    x = np.asarray(x0, dtype=np.float64).copy()
-    if x.shape != (problem.d,):
-        raise ValueError(f"x0 has shape {x.shape}, expected ({problem.d},)")
+    x0 = np.asarray(x0, dtype=np.float64).copy()
+    if x0.shape != (problem.d,):
+        raise ValueError(f"x0 has shape {x0.shape}, expected ({problem.d},)")
     xbar = problem.truth
     nb = np.linalg.norm(xbar) if xbar is not None else 0.0
     geometric = cfg.min_value is None
-    lam = GEOMETRIC_SCALE * float(np.linalg.norm(x)) if geometric else 0.0
-    trace = SolveTrace(final_x=x, step_rule="geometric" if geometric else "polyak")
-    for k in range(cfg.max_iters):
-        trace.final_x = x
-        if geometric:
-            step = polyak_step(problem, x, length=lam * cfg.decay**k)
+    tol_dist = cfg.tol_dist or 0.0  # None and 0 both switch the distance stops off
+    lam = GEOMETRIC_SCALE * float(np.linalg.norm(x0)) if geometric else 0.0
+    vanishes = geometric and tol_dist > 0.0
+    decays = GEOMETRIC_DECAYS if vanishes and lam > 0.0 else GEOMETRIC_DECAYS[-1:]
+    trace = SolveTrace(final_x=x0, step_rule="geometric" if geometric else "polyak")
+    for restarts, q in enumerate(decays):
+        x, start = x0, trace.iterations
+        trace.restarts, trace.final_rung_start = restarts, start
+        for k in range(start, cfg.max_iters):
+            trace.final_x = x
+            if geometric:
+                step = polyak_step(problem, x, length=lam * q**(k - start))
+            else:
+                step = polyak_step(problem, x, cfg.min_value)
+            rel = _rel_dist(x, xbar, nb)
+            trace.records.append(
+                TraceRecord(k=k, f_value=step.f_value, subgrad_norm=step.subgrad_norm,
+                            step_length=step.length, rel_dist=rel)
+            )
+            if not (math.isfinite(step.f_value) and math.isfinite(step.subgrad_norm)):
+                trace.status = NON_FINITE
+                break
+            if cfg.tol_value > 0.0 and step.f_value <= cfg.tol_value:
+                trace.status = CONVERGED
+                break
+            if tol_dist > 0.0 and rel is not None and rel <= tol_dist:
+                trace.status = CONVERGED
+                break
+            if vanishes and step.length / (1.0 - q) <= tol_dist * np.linalg.norm(x):
+                trace.status = STEP_VANISHED
+                break
+            if step.next_x is None:
+                trace.status = ZERO_SUBGRADIENT
+                break
+            x = step.next_x
         else:
-            step = polyak_step(problem, x, cfg.min_value)
-        rel = _rel_dist(x, xbar, nb)
-        trace.records.append(
-            TraceRecord(k=k, f_value=step.f_value, subgrad_norm=step.subgrad_norm,
-                        step_length=step.length, rel_dist=rel)
-        )
-        if not (math.isfinite(step.f_value) and math.isfinite(step.subgrad_norm)):
-            trace.status = NON_FINITE
+            trace.status = MAX_ITERS
+        if trace.status != STEP_VANISHED or trace.iterations == cfg.max_iters:
             break
-        if cfg.tol_value > 0.0 and step.f_value <= cfg.tol_value:
-            trace.status = CONVERGED
-            break
-        if cfg.tol_dist is not None and rel is not None and rel <= cfg.tol_dist:
-            trace.status = CONVERGED
-            break
-        if (geometric and cfg.tol_dist is not None
-                and step.length / (1.0 - cfg.decay) <= cfg.tol_dist * np.linalg.norm(x)):
-            trace.status = STEP_VANISHED
-            break
-        if step.next_x is None:
-            trace.status = ZERO_SUBGRADIENT
-            break
-        x = step.next_x
-    else:
-        trace.status = MAX_ITERS
     trace.final_rel_dist = _rel_dist(trace.final_x, xbar, nb)
-    return trace
-
-
-def run_ladder(problem, x0, cfg):
-    """Run from x0 at each decay of ``GEOMETRIC_DECAYS`` in turn until a rung does not vanish.
-
-    Each rung is ``run`` from the same x0, so with the same lam = 0.1 |x0|,
-    at the next decay; a rung is tried only when the one before ended
-    ``step_vanished`` with iterations left, as ``cfg.max_iters`` caps the
-    evaluated iterates of all rungs together.  The returned trace is the
-    final rung's, with every rung's records in order and ``k`` counting on
-    across rungs, ``restarts`` the rungs after the first and
-    ``final_rung_start`` the index of the final rung's first record.
-    ``cfg.decay`` is ignored.  A run that cannot vanish short of the signal
-    is one ``run`` at the last decay, bit for bit: every Polyak run, a run
-    without ``tol_dist`` (its steps never vanish) and a run from x0 = 0
-    (lam = 0, so every rung stops on its first iterate).
-    """
-    climbs = (cfg.min_value is None and cfg.tol_dist is not None
-              and np.any(np.asarray(x0) != 0))
-    records = []
-    for restarts, decay in enumerate(GEOMETRIC_DECAYS if climbs else GEOMETRIC_DECAYS[-1:]):
-        start = len(records)
-        trace = run(problem, x0, replace(cfg, decay=decay, max_iters=cfg.max_iters - start))
-        records += ([replace(r, k=start + r.k) for r in trace.records] if start
-                    else trace.records)
-        trace.records, trace.restarts, trace.final_rung_start = records, restarts, start
-        if trace.status != STEP_VANISHED or len(records) == cfg.max_iters:
-            break
     return trace
 
 
@@ -241,7 +218,7 @@ def geometric_rate_estimate(trace, window=50):
     Returns exp of the mean log-ratio of consecutive relative distances, i.e.
     the window-average rate; values below 1 indicate linear convergence.
     Requires at least window + 1 trailing records with positive rel_dist in
-    the trace's final ladder rung, so the window never spans a restart.
+    the trace's final rung, so the window never spans a restart.
     """
     if window < 1:
         raise ValueError("window must be at least 1")

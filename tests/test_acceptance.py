@@ -222,15 +222,15 @@ def _refine_subgradient_minimum(problem, x0, seed, rounds=70, proposals=60,
                                 restarts=3):
     """Derivative-free local minimization of the empirical subgradient norm."""
     nb = np.linalg.norm(problem.truth)
-    best_x, best_gn = x0.copy(), np.linalg.norm(rp.subgradient(problem, x0))
+    best_x, best_gn = x0.copy(), np.linalg.norm(rp.value_and_subgradient(problem, x0)[1])
     for r in range(restarts):
         x = x0.copy()
-        gn_x = np.linalg.norm(rp.subgradient(problem, x))
+        gn_x = np.linalg.norm(rp.value_and_subgradient(problem, x)[1])
         rng = np.random.default_rng(seed * 101 + r)
         for t in range(rounds):
             radius = 0.2 * (0.87**t) * nb
             for cand in x[None, :] + radius * rng.standard_normal((proposals, x.shape[0])):
-                gn = np.linalg.norm(rp.subgradient(problem, cand))
+                gn = np.linalg.norm(rp.value_and_subgradient(problem, cand)[1])
                 if gn < gn_x:
                     gn_x, x = gn, cand.copy()
         if gn_x < best_gn:

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from robustpr import cli, netpbm
+from robustpr import cli, harness, netpbm, solver, spectral
 from robustpr.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -28,6 +28,41 @@ def test_solve_round_trip(tmp_path):
     assert code == 0
     assert (out / "trace_seed0.csv").exists()
     assert (out / "summary.json").exists()
+
+
+def test_the_solve_command_and_the_library_take_one_path(tmp_path):
+    # The command's trace is solver.run's on the same problem and start,
+    # record for record and bit for bit (repr round-trips every float).
+    settings = {"d": "200", "m": "1600", "noise_p_fail": "0.15", "noise_scale": "10",
+                "noise_seed": "100", "seeds": "0"}
+    assert main(["solve", *(f"{k}={v}" for k, v in settings.items()),
+                 f"out_dir={tmp_path}", "quiet=true"]) == 0
+    problem = harness._seeded_problem(harness.build_config("solve", settings), 0)
+    trace = solver.run(problem, spectral.spectral_init(problem, 0).x0,
+                       solver.SolverConfig(min_value=None, tol_dist=1e-10))
+    rows = [line.split(",") for line in (tmp_path / "trace_seed0.csv").read_text().split()[1:]]
+    assert [(int(k), *map(float, values)) for k, *values in rows] == [
+        (r.k, r.f_value, r.rel_dist, r.subgrad_norm, r.step_length) for r in trace.records]
+    (summary,) = json.loads((tmp_path / "summary.json").read_text())
+    assert (summary["status"], summary["restarts"]) == (trace.status, trace.restarts)
+    assert summary["final_rel_dist"] == trace.final_rel_dist
+
+
+def test_a_zero_tol_dist_is_no_tol_dist(tmp_path):
+    # 0 disables the distance stop, the vanish stop and so the climb: the run
+    # is the q = 0.95 run that tol_dist=none takes, which recovers the signal
+    # (a q = 0.85 run with no vanish test stalls short of it).
+    traces = []
+    for tol_dist in ("0", "none"):
+        out = tmp_path / tol_dist
+        assert main(["solve", "d=200", "m=1600", "noise_p_fail=0.3", "noise_scale=1e4",
+                     "noise_seed=100", "seeds=0", f"tol_dist={tol_dist}", f"out_dir={out}",
+                     "quiet=true"]) == 0
+        traces.append((out / "trace_seed0.csv").read_bytes())
+        (summary,) = json.loads((out / "summary.json").read_text())
+        assert (summary["status"], summary["restarts"]) == ("max_iters", 0)
+        assert summary["final_rel_dist"] <= 1e-9
+    assert traces[0] == traces[1]
 
 
 def test_config_file_with_overrides(tmp_path):
@@ -242,6 +277,14 @@ def test_quiet_false_words_print(tmp_path, capsys, word):
      "probe 'weak_convexity' computes its modulus and takes no 'samples'"),
     (["probe", "probe=weak_convexity", "d=2", "m=20", "samples=200", "out=p.json"],
      "probe 'weak_convexity' computes its modulus and takes no 'samples'"),
+    # A tolerance of 0 is off; a negative or NaN one is an error, not off.
+    (["solve", "d=8", "m=40", "tol_dist=-1"], "tol_dist must be at least 0, got -1.0"),
+    (["solve", "d=8", "m=40", "tol_dist=nan"], "tol_dist must be at least 0, got nan"),
+    (["solve", "d=8", "m=40", "tol_value=-1"], "tol_value must be at least 0, got -1.0"),
+    # The noise settings are checked on every solve, also at p_fail 0.
+    (["solve", "d=10", "m=40", "seeds=0", "noise_kind=bogus"], "unknown noise kind 'bogus'"),
+    (["solve", "d=10", "m=40", "seeds=0", "noise_scale=-1"],
+     "noise scale must be nonnegative, got -1.0"),
 ])
 def test_bad_settings_are_usage_errors(tmp_path, capsys, monkeypatch, args, message):
     monkeypatch.chdir(tmp_path)

@@ -51,13 +51,15 @@ def test_polyak_step_fixed_point_at_min_value():
 
 
 def test_run_zero_subgradient_at_start():
+    # rel_dist is 0 at the truth, yet tol_dist 0 is off, not a distance stop.
     p = seeded_problem(5, 20, seed=0)
-    trace = rp.run(p, p.truth, rp.SolverConfig(max_iters=10))
-    assert trace.status == rp.ZERO_SUBGRADIENT
-    assert trace.iterations == 1
-    assert trace.records[0].k == 0
-    assert math.isnan(trace.records[0].step_length)
-    np.testing.assert_array_equal(trace.final_x, p.truth)
+    for tol_dist in (None, 0.0):
+        trace = rp.run(p, p.truth, rp.SolverConfig(max_iters=10, tol_dist=tol_dist))
+        assert trace.status == rp.ZERO_SUBGRADIENT
+        assert trace.iterations == 1
+        assert trace.records[0].k == 0
+        assert math.isnan(trace.records[0].step_length)
+        np.testing.assert_array_equal(trace.final_x, p.truth)
 
 
 def test_run_value_tolerance_wins_over_zero_subgradient():
@@ -80,6 +82,13 @@ def test_run_max_iters_zero_returns_start():
 def test_solver_config_rejects_a_negative_iteration_budget():
     with pytest.raises(ValueError, match="max_iters must be at least 0, got -1"):
         rp.SolverConfig(max_iters=-1)
+
+
+@pytest.mark.parametrize("name", ["tol_value", "tol_dist"])
+@pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan, -math.inf])
+def test_solver_config_rejects_a_negative_or_nan_tolerance(name, tol):
+    with pytest.raises(ValueError, match=f"{name} must be at least 0, got {tol}"):
+        rp.SolverConfig(min_value=None, **{name: tol})
 
 
 @pytest.mark.parametrize("rule", ["polyak", "vanished", "geometric"])
@@ -234,7 +243,8 @@ def corrupted_problem(p_fail, seed, truth=True, d=200, m=1600, scale=10.0):
 
 @pytest.mark.parametrize("p_fail", [0.05, 0.15, 0.30])
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_geometric_rule_recovers_corrupted_signal_without_the_oracle(p_fail, seed):
+def test_geometric_rule_recovers_corrupted_signal_without_the_oracle(monkeypatch, p_fail, seed):
+    monkeypatch.setattr(solver, "GEOMETRIC_DECAYS", (0.95,))
     p = corrupted_problem(p_fail, seed)
     start = rp.spectral_init(p, seed=seed)
     trace = rp.run(p, start.x0, rp.SolverConfig(min_value=None, tol_dist=1e-10))
@@ -247,11 +257,12 @@ def test_geometric_rule_recovers_corrupted_signal_without_the_oracle(p_fail, see
         assert r.step_length == lam * 0.95**r.k
 
 
-def test_geometric_rule_stops_when_the_step_vanishes_relative_to_x():
+def test_geometric_rule_stops_when_the_step_vanishes_relative_to_x(monkeypatch):
     # Without the signal, the run stops at the first k whose remaining travel
     # 0.1 |x0| 0.95^k / 0.05 is <= tol |x_k| (k = 283); started at xbar the
     # iterates keep |x| = |x0| to far better than the 0.7% between 2 0.95^k
     # and tol at the stopping k.
+    monkeypatch.setattr(solver, "GEOMETRIC_DECAYS", (0.95,))
     tol = 1e-6
     full = corrupted_problem(0.15, 0)
     p = corrupted_problem(0.15, 0, truth=False)
@@ -269,12 +280,13 @@ def test_geometric_rule_stops_when_the_step_vanishes_relative_to_x():
 
 @pytest.mark.parametrize("seed, iterations, step_below_tol", [
     (0, 403, False), (1, 406, True), (2, 413, True)])
-def test_geometric_rule_reports_a_recovered_signal_as_converged(seed, iterations,
+def test_geometric_rule_reports_a_recovered_signal_as_converged(monkeypatch, seed, iterations,
                                                                 step_below_tol):
     # The solve command's problems at p_fail 0.30 and scale 1e4.  On seeds 1-2
     # the step falls below tol_dist |x| (k = 404) before rel_dist reaches
     # tol_dist; the remaining travel lam q^k / (1 - q) is 20 times that step,
     # so the run goes on and ends converged instead of step_vanished.
+    monkeypatch.setattr(solver, "GEOMETRIC_DECAYS", (0.95,))
     d, tol = 200, 1e-10
     p = rp.measure(rp.gaussian_ensemble(d, 1600, seed), rp.rng_for(seed, 40).standard_normal(d),
                    rp.NoiseModel(p_fail=0.30, scale=1e4, seed=100 + seed))
@@ -288,7 +300,7 @@ def test_geometric_rule_reports_a_recovered_signal_as_converged(seed, iterations
 
 
 # ---------------------------------------------------------------------------
-# ladder of geometric decays (run_ladder)
+# ladder of geometric decays
 # ---------------------------------------------------------------------------
 
 def solve_command_problem(p_fail, seed, scale=1e4, d=200, m=1600):
@@ -301,16 +313,22 @@ def solve_command_problem(p_fail, seed, scale=1e4, d=200, m=1600):
 GEOMETRIC = rp.SolverConfig(min_value=None, tol_dist=1e-10)
 
 
+def one_rung(decay, p, x0, cfg):
+    """``run`` on the one rung q = decay."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "GEOMETRIC_DECAYS", (decay,))
+        return rp.run(p, x0, cfg)
+
+
 def test_the_ladder_tries_the_fast_decay_first_and_ends_on_the_default():
     assert solver.GEOMETRIC_DECAYS == (0.85, 0.95)
-    assert rp.SolverConfig().decay == solver.GEOMETRIC_DECAY == solver.GEOMETRIC_DECAYS[-1]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_the_ladder_recovers_in_its_first_rung_at_fifteen_percent(seed):
     p = corrupted_problem(0.15, seed)
     x0 = rp.spectral_init(p, seed=seed).x0
-    trace = rp.run_ladder(p, x0, GEOMETRIC)
+    trace = rp.run(p, x0, GEOMETRIC)
     assert (trace.status, trace.restarts, trace.final_rung_start) == (rp.CONVERGED, 0, 0)
     assert trace.final_rel_dist <= 1e-10
     assert trace.iterations <= 140
@@ -324,9 +342,9 @@ def test_a_vanished_first_rung_falls_back_to_the_default_run_bit_for_bit(seed):
     # At p_fail 0.30 the q = 0.85 steps vanish 7e-3 to 7e-2 short of the
     # signal; the second rung restarts from x0 and is the q = 0.95 run.
     p, x0 = solve_command_problem(0.30, seed)
-    trace = rp.run_ladder(p, x0, GEOMETRIC)
-    fast = rp.run(p, x0, dataclasses.replace(GEOMETRIC, decay=0.85))
-    slow = rp.run(p, x0, GEOMETRIC)
+    trace = rp.run(p, x0, GEOMETRIC)
+    fast = one_rung(0.85, p, x0, GEOMETRIC)
+    slow = one_rung(0.95, p, x0, GEOMETRIC)
     assert fast.status == rp.STEP_VANISHED and fast.final_rel_dist > 1e-3
     assert (trace.restarts, trace.final_rung_start) == (1, fast.iterations)
     assert fast.iterations <= 145
@@ -343,11 +361,11 @@ def test_a_vanished_first_rung_falls_back_to_the_default_run_bit_for_bit(seed):
 
 def test_max_iters_caps_the_iterates_of_all_rungs_together():
     p, x0 = solve_command_problem(0.30, 0)
-    first = rp.run(p, x0, dataclasses.replace(GEOMETRIC, decay=0.85)).iterations
+    first = one_rung(0.85, p, x0, GEOMETRIC).iterations
     for max_iters, status, restarts in [(first - 1, rp.MAX_ITERS, 0),
                                         (first, rp.STEP_VANISHED, 0),
                                         (first + 30, rp.MAX_ITERS, 1)]:
-        trace = rp.run_ladder(p, x0, dataclasses.replace(GEOMETRIC, max_iters=max_iters))
+        trace = rp.run(p, x0, dataclasses.replace(GEOMETRIC, max_iters=max_iters))
         assert (trace.status, trace.restarts) == (status, restarts)
         assert trace.iterations == max_iters
         assert trace.matvecs == 2 * max_iters
@@ -357,23 +375,18 @@ def test_max_iters_caps_the_iterates_of_all_rungs_together():
         rp.geometric_rate_estimate(trace, window=50)
 
 
-@pytest.mark.parametrize("decay", [0.0, 1.0, -0.5, 1.5, math.nan])
-def test_solver_config_rejects_a_decay_outside_the_unit_interval(decay):
-    with pytest.raises(ValueError, match="decay must lie in"):
-        rp.SolverConfig(min_value=None, decay=decay)
-
-
 @pytest.mark.parametrize("min_value, start, tol_dist",
                          [(0.0, "spectral", None), (None, "origin", None),
-                          (None, "origin", 1e-10)])
+                          (None, "origin", 1e-10), (None, "spectral", 0.0)])
 def test_a_run_that_does_not_vanish_is_one_rung(min_value, start, tol_dist):
-    # A Polyak run never ends step_vanished; from the origin lam = 0, so the
+    # A Polyak run never ends step_vanished, nor does a run with tol_dist 0,
+    # which disables the distance stops; from the origin lam = 0, so the
     # geometric rule stops at once on a vanishing subgradient (tol_dist None)
     # or a vanished step (tol_dist set) that no later rung could lengthen.
     p = corrupted_problem(0.15, 1, d=20, m=160)
     x0 = rp.spectral_init(p, seed=1).x0 if start == "spectral" else np.zeros(20)
     cfg = rp.SolverConfig(min_value=min_value, max_iters=60, tol_dist=tol_dist)
-    ladder, single = rp.run_ladder(p, x0, cfg), rp.run(p, x0, cfg)
+    ladder, single = rp.run(p, x0, cfg), one_rung(0.95, p, x0, cfg)
     assert (ladder.restarts, ladder.status, ladder.records) == (0, single.status, single.records)
     assert ladder.final_x.tobytes() == single.final_x.tobytes()
     if start == "origin":
@@ -386,7 +399,7 @@ def test_without_tol_dist_the_ladder_is_the_default_run_bit_for_bit():
     # the q = 0.95 rung alone, which recovers the signal.
     p, x0 = solve_command_problem(0.30, 0)
     cfg = rp.SolverConfig(min_value=None, max_iters=600, tol_dist=None)
-    ladder, slow = rp.run_ladder(p, x0, cfg), rp.run(p, x0, cfg)
+    ladder, slow = rp.run(p, x0, cfg), one_rung(0.95, p, x0, cfg)
     assert (ladder.restarts, ladder.status, ladder.iterations) == (0, rp.MAX_ITERS, 600)
     assert ladder.records == slow.records
     assert ladder.final_x.tobytes() == slow.final_x.tobytes()
