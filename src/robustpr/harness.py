@@ -194,6 +194,10 @@ def ensure_finite(name, arr):
 
 def _seeded_problem(cfg, seed):
     """The seed's standard normal signal, measured as the config says."""
+    # Checked on every solve, before any draw; data at p_fail 0 is measured
+    # without a noise model.
+    noise = NoiseModel(p_fail=cfg.noise_p_fail, scale=cfg.noise_scale,
+                       seed=cfg.noise_seed, kind=cfg.noise_kind)
     if cfg.kind == "gaussian":
         _require(cfg, "d", "m")
         ens = gaussian_ensemble(cfg.d, cfg.m, seed)
@@ -202,9 +206,6 @@ def _seeded_problem(cfg, seed):
         ens = hadamard_ensemble(cfg.l, cfg.k, seed)
     else:
         raise ConfigError(f"unknown ensemble kind {cfg.kind!r}")
-    # Checked on every solve; data at p_fail 0 is measured without a noise model.
-    noise = NoiseModel(p_fail=cfg.noise_p_fail, scale=cfg.noise_scale,
-                       seed=cfg.noise_seed, kind=cfg.noise_kind)
     xbar = rng_for(seed, _TAG_SIGNAL).standard_normal(ens.d)
     return take_measurements(ens, xbar, noise if noise.p_fail > 0.0 else None)
 

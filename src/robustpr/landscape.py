@@ -381,9 +381,10 @@ def mc_corrupted_population_value(x, xbar, p_fail, scale, n, seed, kind="gaussia
     Samples |v1 l1 + v2 ld - delta xi| with (l1, ld) the rank-two eigenvalues,
     delta Bernoulli(p_fail), and xi drawn at the given scale.  The chi-squared
     pair uses the same stream as ``mc_spectral_value``, so p_fail = 0
-    reproduces that estimate exactly.
+    reproduces that estimate exactly, whatever the scale, even one that is
+    not finite: no entry is corrupted, so the scale is never used.
     """
-    noise = NoiseModel(p_fail=p_fail, scale=scale, seed=seed, kind=kind)
+    noise = NoiseModel(p_fail=p_fail, scale=scale if p_fail > 0.0 else 0.0, seed=seed, kind=kind)
     if n < 1:
         raise ValueError("n must be positive")
     spec = rank_two_spectrum(x, xbar)

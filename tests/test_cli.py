@@ -285,6 +285,15 @@ def test_quiet_false_words_print(tmp_path, capsys, word):
     (["solve", "d=10", "m=40", "seeds=0", "noise_kind=bogus"], "unknown noise kind 'bogus'"),
     (["solve", "d=10", "m=40", "seeds=0", "noise_scale=-1"],
      "noise scale must be nonnegative, got -1.0"),
+    # A scale that is not finite is refused before the init runs.
+    (["solve", "d=10", "m=40", "seeds=0", "noise_p_fail=0.2", "noise_scale=nan"],
+     "noise scale must be finite, got nan"),
+    (["solve", "d=10", "m=40", "seeds=0", "noise_p_fail=0.2", "noise_scale=inf"],
+     "noise scale must be finite, got inf"),
+    (["solve", "d=10", "m=40", "seeds=0", "noise_p_fail=0", "noise_scale=nan"],
+     "noise scale must be finite, got nan"),
+    (["solve", "d=10", "m=40", "seeds=0", "noise_p_fail=0", "noise_scale=inf"],
+     "noise scale must be finite, got inf"),
 ])
 def test_bad_settings_are_usage_errors(tmp_path, capsys, monkeypatch, args, message):
     monkeypatch.chdir(tmp_path)

@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.linalg import hadamard as dense_hadamard
 
 import robustpr as rp
-from robustpr.measure import corruption, squared_frobenius_norm
+from robustpr.measure import _FILL_BYTES, corruption, squared_frobenius_norm
 
 SQ2 = math.sqrt(2.0)
 
@@ -16,6 +17,49 @@ def test_gaussian_ensemble_shape_and_determinism():
     assert e1.rows.shape == (5, 3)
     assert np.array_equal(e1.rows, e2.rows)
     assert not np.array_equal(e1.rows, rp.gaussian_ensemble(3, 5, seed=8).rows)
+
+
+@pytest.mark.parametrize("d, m", [(400, 1481), (3, 5)])
+def test_gaussian_ensemble_is_one_draw_stored_column_major(d, m):
+    # m is not a multiple of the fill block, so the last block is partial.
+    assert m % (_FILL_BYTES // (8 * d)) != 0
+    rows = rp.gaussian_ensemble(d, m, seed=11).rows
+    assert np.array_equal(rows, rp.rng_for(11, 0).standard_normal((m, d)))
+    assert rows.flags.f_contiguous and not rows.flags.writeable
+
+
+def test_dense_ensemble_memory_is_one_matrix():
+    # A column-major ensemble is filled through a small buffer, and its norm
+    # is summed without a copy (np.vdot would copy both operands, 9.5 MB here).
+    d, m = 400, 1480
+    matrix_bytes = 8 * d * m
+    tracemalloc.start()
+    try:
+        ens = rp.gaussian_ensemble(d, m, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+        assert peak < matrix_bytes + 2**20
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        squared_frobenius_norm(ens)
+        _, peak = tracemalloc.get_traced_memory()
+        assert peak - before < 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_row_major_ensemble_is_used_as_given():
+    stored = rp.gaussian_ensemble(13, 29, seed=5)
+    rows = np.ascontiguousarray(stored.rows)
+    ens = rp.MeasurementEnsemble(rows=rows)
+    assert ens.rows is rows and rows.flags.c_contiguous
+    rng = np.random.default_rng(3)
+    x, y = rng.standard_normal(13), rng.standard_normal(29)
+    # the same entries in the other layout agree to rounding
+    np.testing.assert_allclose(rp.apply(ens, x), rp.apply(stored, x), rtol=1e-12, atol=1e-13)
+    np.testing.assert_allclose(rp.apply_adjoint(ens, y), rp.apply_adjoint(stored, y),
+                               rtol=1e-12, atol=1e-13)
+    assert squared_frobenius_norm(ens) == pytest.approx(squared_frobenius_norm(stored),
+                                                        rel=1e-13)
 
 
 def test_gaussian_ensemble_column_means_concentrate():
@@ -266,6 +310,9 @@ def test_noise_model_validation():
         rp.NoiseModel(p_fail=1.0, scale=1.0, seed=0)
     with pytest.raises(ValueError):
         rp.NoiseModel(p_fail=0.5, scale=-1.0, seed=0)
+    for scale in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            rp.NoiseModel(p_fail=0.5, scale=scale, seed=0)
     with pytest.raises(ValueError):
         rp.NoiseModel(p_fail=0.5, scale=1.0, seed=0, kind="levy")
 

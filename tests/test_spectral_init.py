@@ -122,9 +122,11 @@ def test_spectral_init_scale_is_robust_to_gross_corruption():
     assert problem.b.mean() < 0
     report = rp.spectral_init(problem, seed=0)
     r2 = float(np.median(problem.b)) / spectral._CHI2_1_MEDIAN
-    rows = problem.ensemble.rows
+    # |A|_F^2 summed in the order the rows are stored (column-major), as the
+    # init sums it; a row-major sum differs in the last bits.
+    flat = problem.ensemble.rows.ravel(order="K")
     assert report.converged
-    assert report.r_hat == math.sqrt(r2 * 1600 * 200 / float(np.vdot(rows, rows)))
+    assert report.r_hat == math.sqrt(r2 * 1600 * 200 / float(np.vdot(flat, flat)))
     assert report.r_hat == pytest.approx(np.linalg.norm(xbar), rel=0.15)
     # negative entries are certainly corrupted and stay out of the selection
     assert report.n_selected == np.count_nonzero((problem.b >= 0) & (problem.b <= r2 / 2))
