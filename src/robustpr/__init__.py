@@ -10,6 +10,13 @@ with spectral initialization, and exposes the closed-form population
 landscape of the same objective under Gaussian measurements: its value,
 gradient, critical stationary ring of relative radius ~0.4416, and
 certification scores for empirical stationary points.
+
+``robustpr.measure`` is the problem generator ``measure.measure``, re-exported
+here; the name hides the submodule of the same name, so
+``from robustpr import measure`` and ``import robustpr.measure as m`` both
+give the function.  Reach the module itself by
+``from robustpr.measure import ...`` or
+``importlib.import_module("robustpr.measure")``.
 """
 
 from .measure import (

@@ -1,3 +1,4 @@
+import importlib
 import math
 import tracemalloc
 
@@ -6,7 +7,8 @@ import pytest
 from scipy.linalg import hadamard as dense_hadamard
 
 import robustpr as rp
-from robustpr.measure import _FILL_BYTES, corruption, squared_frobenius_norm
+from robustpr.measure import (_FILL_BYTES, _H_RADIX, _fwht_last_axis, corruption,
+                              squared_frobenius_norm)
 
 SQ2 = math.sqrt(2.0)
 
@@ -150,6 +152,35 @@ def test_squared_frobenius_norm_matches_densified_rows(l, k):
     assert np.sum(rows**2) == pytest.approx(ens.m, rel=1e-13)
     dense = rp.gaussian_ensemble(l, 3 * l, seed=l)
     assert squared_frobenius_norm(dense) == pytest.approx(np.sum(dense.rows**2), rel=1e-13)
+
+
+def _passes_then_divide(a):
+    # Reference: the same radix-16 passes with the unscaled H_r, then one division
+    # by sqrt(l), the scale applied as its own sweep.
+    l = a.shape[-1]
+    out = np.asarray(a, dtype=np.float64)
+    s = 1
+    while s < l:
+        r = min(16, l // s)
+        h = _H_RADIX[:r, :r]
+        out = out.reshape(-1, r) @ h if s == 1 else np.matmul(h, out.reshape(-1, r, s))
+        s *= r
+    return out.reshape(a.shape) / math.sqrt(l)
+
+
+@pytest.mark.parametrize("e", range(15))
+def test_fwht_is_bit_for_bit_the_passes_then_the_division(e):
+    # Odd and even e = log2(l): the scale is 2^-floor(e/2) in the first pass, times
+    # one division by sqrt(2) when e is odd, and neither may move a bit.
+    l = 2**e
+    rng = np.random.default_rng(1000 + e)
+    for a in (rng.standard_normal(l), rng.standard_normal((2, 3, l))):
+        got = _fwht_last_axis(a)
+        assert got.shape == a.shape
+        assert np.array_equal(got, _passes_then_divide(a))
+        # a new array, also at l = 1 where no pass runs
+        assert not np.shares_memory(got, a)
+    assert np.array_equal(rp.fwht(a[0, 0]), _passes_then_divide(a[0, 0]))
 
 
 def test_fwht_involution_and_isometry():
@@ -303,6 +334,33 @@ def test_measure_dimension_mismatch():
     ens = rp.gaussian_ensemble(4, 9, seed=2)
     with pytest.raises(ValueError):
         rp.measure(ens, np.zeros(5))
+
+
+def test_problem_rejects_a_truth_of_the_wrong_shape():
+    # A (1,) truth would broadcast: a start at xbar + 0.01 would report rel_dist 3.45.
+    p = rp.measure(rp.gaussian_ensemble(5, 40, seed=0), np.ones(5))
+    for truth in (np.array([1.0]), np.ones((5, 1)), np.float64(1.0)):
+        with pytest.raises(ValueError, match=r"truth has shape .*, expected \(d,\) = \(5,\)"):
+            rp.PhaseProblem(ensemble=p.ensemble, b=p.b.copy(), truth=truth)
+
+
+def test_problem_rejects_measurements_that_are_not_a_vector_of_length_m():
+    # A (40, 1) b would broadcast: the objective at xbar would be a length-40 vector.
+    p = rp.measure(rp.gaussian_ensemble(5, 40, seed=0), np.ones(5))
+    for b in (p.b.reshape(40, 1), p.b[:39].copy(), np.float64(1.0)):
+        with pytest.raises(ValueError, match=r"b has shape .*, expected \(m,\) = \(40,\)"):
+            rp.PhaseProblem(ensemble=p.ensemble, b=b)
+
+
+def test_package_measure_is_the_function_and_the_module_is_reached_by_import():
+    # robustpr.measure is the problem generator; the re-export hides the submodule of
+    # the same name, which `from robustpr.measure import ...` and importlib still reach.
+    module = importlib.import_module("robustpr.measure")
+    assert rp.measure is module.measure
+    assert callable(rp.measure) and not hasattr(rp.measure, "MeasurementEnsemble")
+    assert module.MeasurementEnsemble is rp.MeasurementEnsemble
+    from robustpr.measure import MeasurementEnsemble
+    assert MeasurementEnsemble is rp.MeasurementEnsemble
 
 
 def test_noise_model_validation():
