@@ -37,9 +37,8 @@ from .measure import (
 )
 from .objective import (
     RegularityEstimate,
-    concentration_probe,
     gaussian_abs_product_mean,
-    sharpness_probe,
+    regularity_probe,
     value,
     value_and_subgradient,
     weak_convexity_modulus,

@@ -486,30 +486,34 @@ def run_certify(cfg):
 # probe
 # ---------------------------------------------------------------------------
 
+# The sampled probes, each reporting one field of objective.regularity_probe.
+_PROBE_KEYS = {"sharpness": "kappa_hat", "concentration": "max_deviation"}
+
+
 def run_probe(cfg):
     """Report one regularity constant of a seeded Gaussian problem as JSON.
 
-    The sharpness and concentration probes require ``samples``, draw that
-    many seeded samples and report them; the weak-convexity modulus is
-    computed, so that probe refuses ``samples``.
+    The sampled probes require ``samples`` and report it; the weak-convexity
+    modulus is computed and refuses it.  Settings are checked before the draw.
     """
     _require(cfg, "probe", "d", "m")
-    problem = _seeded_problem(cfg, cfg.seed)
-    out = {"probe": cfg.probe, "d": cfg.d, "m": cfg.m, "seed": cfg.seed}
-    if cfg.probe in ("sharpness", "concentration"):
+    if cfg.probe == "weak_convexity":
+        if cfg.samples is not None:
+            raise ConfigError("probe 'weak_convexity' computes its modulus and takes no 'samples'")
+    elif cfg.probe in _PROBE_KEYS:
         _require(cfg, "samples")
-    elif cfg.probe == "weak_convexity" and cfg.samples is not None:
-        raise ConfigError("probe 'weak_convexity' computes its modulus and takes no 'samples'")
-    if cfg.probe == "sharpness":
-        est = objective.sharpness_probe(problem, cfg.samples, cfg.seed)
-        out.update(samples=cfg.samples, kappa_hat=_json_scalar(est.kappa_hat))
-    elif cfg.probe == "weak_convexity":
-        out["rho_hat"] = objective.weak_convexity_modulus(problem)
-    elif cfg.probe == "concentration":
-        out.update(samples=cfg.samples, max_deviation=objective.concentration_probe(
-            problem.ensemble, cfg.samples, cfg.seed))
+        if cfg.samples < 1:
+            raise ConfigError(f"samples must be at least 1, got {cfg.samples}")
     else:
         raise ConfigError(f"unknown probe {cfg.probe!r}")
+    problem = _seeded_problem(cfg, cfg.seed)
+    out = {"probe": cfg.probe, "d": cfg.d, "m": cfg.m, "seed": cfg.seed}
+    if cfg.probe == "weak_convexity":
+        out["rho_hat"] = objective.weak_convexity_modulus(problem)
+    else:
+        est = objective.regularity_probe(problem.ensemble, cfg.samples, cfg.seed)
+        key = _PROBE_KEYS[cfg.probe]
+        out.update({"samples": cfg.samples, key: getattr(est, key)})
     if cfg.out is not None:
         write_json(cfg.out, out)
     if not cfg.quiet:

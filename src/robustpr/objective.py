@@ -1,4 +1,4 @@
-"""The robust phase retrieval objective and empirical regularity probes.
+"""The robust phase retrieval objective and its regularity constants.
 
 The objective is the mean absolute residual
 
@@ -7,11 +7,12 @@ The objective is the mean absolute residual
 whose chain-rule subgradient is (2/m) A^T (s * Ax) with s_i the sign of the
 i-th residual and sign(0) := 0; ``value`` and ``value_and_subgradient`` take
 one x or an (N, d) block of points, one per row.  The weak-convexity modulus
-has a closed form (see ``weak_convexity_modulus``).  The probes estimate the
-sharpness slope and the deviation of the empirical absolute product
-(1/m) sum_i |<a_i,v><a_i,w>| from its Gaussian mean.  Probe results are
-empirical extremes over finite seeded samples, at least one: statistical
-evidence, not certificates.
+has a closed form, computed matrix-free (``weak_convexity_modulus``).  On
+noiseless data <a,x>^2 - <a,xbar>^2 = <a,x-xbar><a,x+xbar>, so the sharpness
+ratio f(x) / (|x - xbar| |x + xbar|) is g(u, v) = (1/m) sum_i |<a_i,u><a_i,v>|
+at the unit vectors u, v along x -+ xbar; ``regularity_probe`` samples g at
+seeded unit pairs on any ensemble.  Its results are empirical extremes over
+finite samples: statistical evidence, not certificates.
 """
 
 from __future__ import annotations
@@ -21,18 +22,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measure import DENSE_GAUSSIAN, apply, apply_adjoint, densify, rng_for
+from .measure import apply, apply_adjoint, rng_for, squared_frobenius_norm
+from .spectral import min_eigenvector
 
-_TAG_SHARPNESS = 11
-_TAG_CONCENTRATION = 12
+_TAG_PAIRS = 13
+# Bound on the entries of one block's (2 * pairs, m) product array (8 MB), so
+# that the sample count never sizes an allocation.
+_BLOCK_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
 class RegularityEstimate:
-    """The sharpness probe's smallest observed slope and the samples it used."""
+    """The smallest g(u, v) over the probe's pairs, and its largest gap from sigma^2 E|Z1 Z2|."""
 
     kappa_hat: float
-    samples: int
+    max_deviation: float
 
 
 def _residuals(problem, x):
@@ -63,50 +67,19 @@ def weak_convexity_modulus(problem):
     is convex, and for b_i <= 0 the term is convex already, so
     f + (rho/2) |x|^2 is convex.  When every b_i > 0 no smaller rho works:
     near 0, f(x) = mean(b) - |Ax|^2 / m.  Without a positive b_i, rho is 0.
-    The rows are made dense, so the cost is O(m d^2).
+    lambda_max is minus the smallest eigenvalue of v -> -A^T (1[b > 0] A v),
+    found by ``min_eigenvector`` through the ensemble's products, so no rows
+    are materialized.
     """
-    rows = densify(problem.ensemble)[problem.b > 0]
-    return 2.0 * float(np.linalg.eigvalsh(rows.T @ rows)[-1]) / problem.m
+    ens = problem.ensemble
+    mask = (problem.b > 0).astype(np.float64)
 
+    def op(v):
+        return -apply_adjoint(ens, mask * apply(ens, v))
 
-def _require_samples(n):
-    if n < 1:
-        raise ValueError(f"samples must be at least 1, got {n}")
-
-
-def sharpness_probe(problem, n_points, seed):
-    """Smallest observed slope f(x) / (|x - xbar| |x + xbar|) over seeded samples.
-
-    Half the samples are local perturbations of +-xbar (radius uniform below
-    |xbar|), half are global Gaussian directions rescaled to norm up to
-    3 |xbar|.  Points indistinguishable from +-xbar are skipped.  ``n_points``
-    must be at least 1.
-    """
-    _require_samples(n_points)
-    xbar = problem.truth
-    if xbar is None:
-        raise ValueError("probe requires a problem with a known signal")
-    if not problem.noiseless:
-        raise ValueError("sharpness probe requires noiseless measurements")
-    nb = np.linalg.norm(xbar)
-    rng = rng_for(seed, _TAG_SHARPNESS)
-    best = math.inf
-    used = 0
-    for i in range(n_points):
-        if i % 2 == 0:
-            sign = 1.0 if rng.random() < 0.5 else -1.0
-            u = rng.standard_normal(xbar.shape[0])
-            u /= np.linalg.norm(u)
-            x = sign * xbar + (rng.random() * max(nb, 1.0)) * u
-        else:
-            g = rng.standard_normal(xbar.shape[0])
-            x = g * (3.0 * max(nb, 1.0) * rng.random() / np.linalg.norm(g))
-        denom = np.linalg.norm(x - xbar) * np.linalg.norm(x + xbar)
-        if denom <= 1e-14 * max(nb * nb, 1.0):
-            continue
-        best = min(best, value(problem, x) / denom)
-        used += 1
-    return RegularityEstimate(kappa_hat=best, samples=used)
+    lam = min_eigenvector(op, problem.d).eigenvalue_estimate
+    # The operator is negative semidefinite; max turns an empty selection's -0.0 into 0.0.
+    return max(0.0, -2.0 * lam / problem.m)
 
 
 def gaussian_abs_product_mean(t):
@@ -115,24 +88,39 @@ def gaussian_abs_product_mean(t):
     return (2.0 / np.pi) * (np.sqrt(1.0 - t * t) + t * np.arcsin(t))
 
 
-def concentration_probe(ensemble, n_pairs, seed):
-    """Worst deviation of (1/m) sum_i |<a_i,v><a_i,w>| from its Gaussian mean.
+def _abs_product_means(ensemble, pairs):
+    """g(u, v) = (1/m) sum_i |<a_i,u><a_i,v>| for each (u, v) = pairs[j] of an (N, 2, d) block."""
+    prod = apply(ensemble, pairs.reshape(-1, ensemble.d)).reshape(-1, 2, ensemble.m)
+    g = prod[:, 0] * prod[:, 1]
+    return np.mean(np.abs(g, out=g), axis=-1)
 
-    Draws ``n_pairs`` pairs of random unit vectors and returns the maximum
-    absolute gap between the empirical average and E|<a,v><a,w>|.  ``n_pairs``
-    must be at least 1.
+
+def regularity_probe(ensemble, samples, seed):
+    """Smallest g(u, v) and its largest deviation from the Gaussian mean over seeded unit pairs.
+
+    ``kappa_hat`` estimates the sharpness constant, whose Gaussian value is
+    (2/pi) sigma^2.  ``max_deviation`` compares g with
+    sigma^2 ``gaussian_abs_product_mean(<u, v>)``, sigma^2 = |A|_F^2 / (m d)
+    being the rows' mean square entry: 1/l on a sketch, 1 + O((m d)^(-1/2))
+    on Gaussian rows.  The ``samples`` (at least 1) pairs of uniform unit
+    vectors come pair after pair from one seeded stream, so a larger
+    ``samples`` extends the same sequence, and are evaluated in blocks of
+    bounded size through the ensemble's forward product.
     """
-    _require_samples(n_pairs)
-    if ensemble.kind != DENSE_GAUSSIAN:
-        raise ValueError("concentration probe is defined for dense Gaussian ensembles")
-    rng = rng_for(seed, _TAG_CONCENTRATION)
-    rows = ensemble.rows
-    worst = 0.0
-    for _ in range(n_pairs):
-        v = rng.standard_normal(ensemble.d)
-        v /= np.linalg.norm(v)
-        w = rng.standard_normal(ensemble.d)
-        w /= np.linalg.norm(w)
-        emp = float(np.mean(np.abs((rows @ v) * (rows @ w))))
-        worst = max(worst, abs(emp - gaussian_abs_product_mean(float(v @ w))))
-    return worst
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+    m, d = ensemble.m, ensemble.d
+    sigma2 = squared_frobenius_norm(ensemble) / (m * d)
+    block = max(1, _BLOCK_ENTRIES // (2 * max(m, d)))
+    rng = rng_for(seed, _TAG_PAIRS)
+    kappa, worst = math.inf, 0.0
+    for start in range(0, samples, block):
+        n = min(block, samples - start)
+        pairs = rng.standard_normal((n, 2, d))
+        pairs /= np.linalg.norm(pairs, axis=2, keepdims=True)
+        g = _abs_product_means(ensemble, pairs)
+        t = np.sum(pairs[:, 0] * pairs[:, 1], axis=1)
+        dev = np.abs(g - sigma2 * gaussian_abs_product_mean(t))
+        kappa = min(kappa, float(g.min()))
+        worst = max(worst, float(dev.max()))
+    return RegularityEstimate(kappa_hat=kappa, max_deviation=worst)

@@ -208,7 +208,7 @@ def test_criterion_09_regularity_probes():
     kappas, rhos = [], []
     for seed in (0, 1, 2):
         problem = seeded_problem(50, 500, seed)
-        kappas.append(rp.sharpness_probe(problem, 200, seed=seed).kappa_hat)
+        kappas.append(rp.regularity_probe(problem.ensemble, 200, seed=seed).kappa_hat)
         rhos.append(rp.weak_convexity_modulus(problem))
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0

@@ -713,8 +713,28 @@ def test_run_probe_kinds(tmp_path, probe, key):
     assert json.loads(out.read_text())[key] == result[key]
     # Only the sampling probes report their samples.
     assert result.get("samples") == (None if probe == "weak_convexity" else 20)
+    # The command reports what the library computes on the same problem.
+    problem = harness._seeded_problem(cfg, 1)
     if probe == "weak_convexity":
-        assert result[key] == rp.weak_convexity_modulus(harness._seeded_problem(cfg, 1))
+        assert result[key] == rp.weak_convexity_modulus(problem)
+    else:
+        assert result[key] == getattr(rp.regularity_probe(problem.ensemble, 20, 1), key)
+
+
+@pytest.mark.parametrize("settings,message", [
+    ({"probe": "mystery"}, "unknown probe 'mystery'"),
+    ({"probe": "sharpness"}, "command 'probe' requires 'samples'"),
+    ({"probe": "concentration", "samples": "0"}, "samples must be at least 1, got 0"),
+    ({"probe": "weak_convexity", "samples": "200"}, "takes no 'samples'"),
+])
+def test_run_probe_checks_its_settings_before_the_problem(monkeypatch, settings, message):
+    def no_problem(cfg, seed):
+        raise AssertionError("the problem was drawn before the settings were checked")
+
+    monkeypatch.setattr(harness, "_seeded_problem", no_problem)
+    cfg = harness.build_config("probe", {"d": "2000", "m": "40000", **settings})
+    with pytest.raises(harness.ConfigError, match=message):
+        harness.run_probe(cfg)
 
 
 def test_run_probe_unknown_kind():
