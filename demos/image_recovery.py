@@ -34,6 +34,12 @@ print(f"recovered  {dst}")
 print(f"signal dimension {summary['pad_len']} (64*64 = 4096 samples, no padding"
       f" needed), measurements m = {3 * summary['pad_len']}")
 print(f"iterations {summary['iterations']}, status {summary['status']}")
+# each stage's seconds next to its products (one forward and one adjoint
+# product per operator application or iterate)
+print(f"init:  init_s={summary['init_s']:.4f} init_matvecs={summary['init_matvecs']}"
+      f" init_iters={summary['init_iters']}")
+print(f"solve: solve_s={summary['solve_s']:.4f} solve_matvecs={summary['solve_matvecs']}"
+      f" iterations={summary['iterations']}")
 print(f"relative distance to the signal {summary['rel_dist']:.2e}")
 print(f"exact pixels after rounding     {summary['exact_pixel_fraction']:.2%}")
 

@@ -63,9 +63,11 @@ def _parse_opt_float(s):
     return None if s.lower() in ("none", "") else float(s)
 
 
-# certify harvests solve runs; image recovers its signal with the same solver.
+# certify harvests solve runs; image recovers its signal with the same solver;
+# probe reads constants of one seeded problem, drawn as solve draws it.
 _PROBLEM = ("solve", "certify")
 _SOLVER = ("solve", "certify", "image")
+_ENSEMBLE = _PROBLEM + ("probe",)
 
 
 def _setting(default, parse, commands):
@@ -79,11 +81,11 @@ def _setting(default, parse, commands):
 @dataclass
 class ExperimentConfig:
     command: str
-    kind: str = _setting("gaussian", str, _PROBLEM)
-    d: int | None = _setting(None, int, _PROBLEM + ("probe",))
-    m: int | None = _setting(None, int, _PROBLEM + ("probe",))
-    l: int | None = _setting(None, int, _PROBLEM)
-    k: int | None = _setting(None, int, _SOLVER)
+    kind: str = _setting("gaussian", str, _ENSEMBLE)
+    d: int | None = _setting(None, int, _ENSEMBLE)
+    m: int | None = _setting(None, int, _ENSEMBLE)
+    l: int | None = _setting(None, int, _ENSEMBLE)
+    k: int | None = _setting(None, int, _SOLVER + ("probe",))
     seed: int = _setting(0, int, ("image", "probe"))
     seeds: list = _setting([0], _parse_int_list, _PROBLEM)
     # None: 0 for noiseless data, no oracle (the geometric step) for corrupted data
@@ -192,20 +194,27 @@ def ensure_finite(name, arr):
 # solve
 # ---------------------------------------------------------------------------
 
+# The settings each ensemble kind is drawn from.
+_ENSEMBLE_KEYS = {"gaussian": ("d", "m"), "hadamard": ("l", "k")}
+
+
+def _require_ensemble(cfg):
+    if cfg.kind not in _ENSEMBLE_KEYS:
+        raise ConfigError(f"unknown ensemble kind {cfg.kind!r}")
+    _require(cfg, *_ENSEMBLE_KEYS[cfg.kind])
+
+
 def _seeded_problem(cfg, seed):
     """The seed's standard normal signal, measured as the config says."""
     # Checked on every solve, before any draw; data at p_fail 0 is measured
     # without a noise model.
     noise = NoiseModel(p_fail=cfg.noise_p_fail, scale=cfg.noise_scale,
                        seed=cfg.noise_seed, kind=cfg.noise_kind)
+    _require_ensemble(cfg)
     if cfg.kind == "gaussian":
-        _require(cfg, "d", "m")
         ens = gaussian_ensemble(cfg.d, cfg.m, seed)
-    elif cfg.kind == "hadamard":
-        _require(cfg, "l", "k")
-        ens = hadamard_ensemble(cfg.l, cfg.k, seed)
     else:
-        raise ConfigError(f"unknown ensemble kind {cfg.kind!r}")
+        ens = hadamard_ensemble(cfg.l, cfg.k, seed)
     xbar = rng_for(seed, _TAG_SIGNAL).standard_normal(ens.d)
     return take_measurements(ens, xbar, noise if noise.p_fail > 0.0 else None)
 
@@ -491,12 +500,15 @@ _PROBE_KEYS = {"sharpness": "kappa_hat", "concentration": "max_deviation"}
 
 
 def run_probe(cfg):
-    """Report one regularity constant of a seeded Gaussian problem as JSON.
+    """Report one regularity constant of a seeded Gaussian or sketch problem as JSON.
 
-    The sampled probes require ``samples`` and report it; the weak-convexity
-    modulus is computed and refuses it.  Settings are checked before the draw.
+    The ensemble is chosen as for ``solve`` (``kind``, with d and m or l and
+    k), and the report gives the problem's d and m.  The sampled probes
+    require ``samples`` and report it; the weak-convexity modulus is computed
+    and refuses it.  Settings are checked before the draw.
     """
-    _require(cfg, "probe", "d", "m")
+    _require(cfg, "probe")
+    _require_ensemble(cfg)
     if cfg.probe == "weak_convexity":
         if cfg.samples is not None:
             raise ConfigError("probe 'weak_convexity' computes its modulus and takes no 'samples'")
@@ -507,7 +519,7 @@ def run_probe(cfg):
     else:
         raise ConfigError(f"unknown probe {cfg.probe!r}")
     problem = _seeded_problem(cfg, cfg.seed)
-    out = {"probe": cfg.probe, "d": cfg.d, "m": cfg.m, "seed": cfg.seed}
+    out = {"probe": cfg.probe, "d": problem.d, "m": problem.m, "seed": cfg.seed}
     if cfg.probe == "weak_convexity":
         out["rho_hat"] = objective.weak_convexity_modulus(problem)
     else:

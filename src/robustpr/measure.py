@@ -211,11 +211,22 @@ _H_RADIX.setflags(write=False)
 
 
 @functools.lru_cache(maxsize=None)
-def _scaled_radix(half_log):
-    """H_16 times 2^-half_log, the first pass's matrix; read-only, cached per exponent."""
-    h = _H_RADIX * 2.0**-half_log
-    h.setflags(write=False)
-    return h
+def _passes(l):
+    """The passes of the transform of length l > 1; read-only, cached per length.
+
+    Returns the first pass's H_r, scaled by 2^-floor(log2(l) / 2), the
+    (H_r, (-1, r, s)) view of every later pass, and whether log2(l) is odd.
+    """
+    e = l.bit_length() - 1
+    scaled = _H_RADIX * 2.0**-(e // 2)
+    scaled.setflags(write=False)
+    r = min(_RADIX, l)
+    first, s, rest = scaled[:r, :r], r, []
+    while s < l:
+        r = min(_RADIX, l // s)
+        rest.append((_H_RADIX[:r, :r], (-1, r, s)))
+        s *= r
+    return first, tuple(rest), bool(e % 2)
 
 
 def _fwht_last_axis(a):
@@ -224,7 +235,8 @@ def _fwht_last_axis(a):
     H_l is a Kronecker product of Sylvester factors of at most 16 rows.  A
     pass views the axis as (l / (r s), r, s) and applies H_r to its middle
     axis as one matmul; s grows by r per pass, with r = 16 while l / s >= 16
-    and then one remainder pass with r = l / s.
+    and then one remainder pass with r = l / s.  The passes of a length are
+    worked out once (``_passes``).
 
     The 1/sqrt(l) scale allocates nothing and, at an even e = log2(l), makes
     no sweep of its own: the first pass's H_r carries 2^-floor(e/2), and
@@ -235,23 +247,16 @@ def _fwht_last_axis(a):
     The result is always a new array, also at l = 1, where no pass runs.
     """
     l = a.shape[-1]
-    lead = a.shape[:-1]
     if l == 1:
         return np.array(a, dtype=np.float64)
-    e = l.bit_length() - 1
-    out = np.asarray(a, dtype=np.float64)
-    s = 1
-    while s < l:
-        r = min(_RADIX, l // s)
-        if s == 1:
-            # H is symmetric, so the first pass is one gemm over all rows.
-            out = out.reshape(-1, r) @ _scaled_radix(e // 2)[:r, :r]
-        else:
-            out = np.matmul(_H_RADIX[:r, :r], out.reshape(-1, r, s))
-        s *= r
-    if e % 2:
+    first, rest, odd = _passes(l)
+    # H is symmetric, so the first pass is one gemm over all rows.
+    out = np.asarray(a, dtype=np.float64).reshape(-1, len(first)) @ first
+    for h, shape in rest:
+        out = np.matmul(h, out.reshape(shape))
+    if odd:
         out /= math.sqrt(2.0)
-    return out.reshape(lead + (l,))
+    return out.reshape(a.shape)
 
 
 def fwht(v):

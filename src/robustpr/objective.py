@@ -40,19 +40,37 @@ class RegularityEstimate:
 
 
 def _residuals(problem, x):
+    """A x and the residuals (A x)^2 - b, the latter built in one new array."""
     ax = apply(problem.ensemble, x)
-    return ax, ax * ax - problem.b
+    r = np.multiply(ax, ax)
+    r -= problem.b
+    return ax, r
 
 
 def _mean_abs(r):
-    f = np.mean(np.abs(r), axis=-1)
+    """mean(|r|) along the last axis; overwrites r.
+
+    np.add.reduce is the pairwise sum np.mean runs, without its Python
+    wrapper, and the division by the length is np.mean's, so the value is
+    np.mean(np.abs(r), axis=-1) bit for bit.
+    """
+    f = np.add.reduce(np.abs(r, out=r), axis=-1) / r.shape[-1]
     return f if f.ndim else float(f)
 
 
 def value_and_subgradient(problem, x):
-    """Value and subgradient at x from a single forward product A x."""
+    """Value and subgradient at x from a single forward product A x.
+
+    Besides the two products, a step allocates two m-length arrays, the
+    residual and the sign-weighted product, and scales the adjoint in place.
+    """
     ax, r = _residuals(problem, x)
-    return _mean_abs(r), (2.0 / problem.m) * apply_adjoint(problem.ensemble, np.sign(r) * ax)
+    weighted = np.sign(r)
+    weighted *= ax
+    f = _mean_abs(r)
+    g = apply_adjoint(problem.ensemble, weighted)
+    g *= 2.0 / problem.m
+    return f, g
 
 
 def value(problem, x):

@@ -127,21 +127,31 @@ def polyak_step(problem, x, min_value=0.0, length=None):
     """
     x = np.asarray(x, dtype=np.float64)
     f, zeta = objective.value_and_subgradient(problem, x)
-    gn = float(np.linalg.norm(zeta))
+    gn = _norm(zeta)
     polyak = length is None
     if polyak:
         length = (f - min_value) / gn if gn > 0 else math.nan
     if gn == 0.0 or not (math.isfinite(f) and math.isfinite(gn)):
         return PolyakStep(next_x=None, f_value=f, subgrad_norm=gn, length=length)
     coef = (f - min_value) / gn**2 if polyak else length / gn
-    return PolyakStep(next_x=x - coef * zeta, f_value=f, subgrad_norm=gn, length=length)
+    # x - coef * zeta, built in zeta's storage
+    zeta *= coef
+    return PolyakStep(next_x=np.subtract(x, zeta, out=zeta), f_value=f, subgrad_norm=gn,
+                      length=length)
+
+
+def _norm(v):
+    """np.linalg.norm of a contiguous float vector, sqrt(v . v), without its Python wrapper."""
+    return math.sqrt(v.dot(v))
 
 
 def _rel_dist(x, xbar, nb):
-    """min(|x - xbar|, |x + xbar|) / nb, None unless nb = |xbar| > 0."""
+    """min(|x - xbar|, |x + xbar|) / nb, None unless nb = |xbar| > 0; both in one buffer."""
     if not nb > 0:
         return None
-    return min(np.linalg.norm(x - xbar), np.linalg.norm(x + xbar)) / nb
+    t = np.subtract(x, xbar)
+    minus = _norm(t)
+    return min(minus, _norm(np.add(x, xbar, out=t))) / nb
 
 
 def run(problem, x0, cfg):
@@ -197,7 +207,7 @@ def run(problem, x0, cfg):
             if tol_dist > 0.0 and rel is not None and rel <= tol_dist:
                 trace.status = CONVERGED
                 break
-            if vanishes and step.length / (1.0 - q) <= tol_dist * np.linalg.norm(x):
+            if vanishes and step.length / (1.0 - q) <= tol_dist * _norm(x):
                 trace.status = STEP_VANISHED
                 break
             if step.next_x is None:

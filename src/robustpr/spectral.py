@@ -71,7 +71,7 @@ class InitReport:
 
 
 def _check_finite(v):
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise FloatingPointError("operator produced non-finite values")
     return v
 
@@ -99,8 +99,9 @@ def min_eigenvector(op, d, *, seed=0, tol=1e-8, max_iters=_MAX_ITERS, angle_tol=
     ``converged`` reports that the last residual met the stop in force: the
     tol rule alone by default, either rule with ``angle_tol``.
     ``iters`` counts the ``op`` applications after the first and is capped by
-    ``max_iters``; ``seed`` keys the start vector.  The sign is normalized so
-    the largest-magnitude coordinate is nonnegative.
+    ``max_iters``; ``seed`` keys the start vector.  Each ``op`` result must be
+    a new float64 array: it is orthogonalized in place.  The sign is
+    normalized so the largest-magnitude coordinate is nonnegative.
     """
     rng = rng_for(seed, _TAG_LANCZOS_START)
     w = rng.standard_normal(d)
@@ -133,15 +134,16 @@ def min_eigenvector(op, d, *, seed=0, tol=1e-8, max_iters=_MAX_ITERS, angle_tol=
             alpha[j] = basis[j] @ u
             # Full reorthogonalization: two classical Gram-Schmidt passes
             # against the whole basis also remove the alpha and beta terms.
+            # At j = 0, u is opw, which the cycle reads only before this.
             q = basis[: j + 1]
-            u = u - q.T @ (q @ u)
             u -= q.T @ (q @ u)
-            beta[j] = np.linalg.norm(u)
+            u -= q.T @ (q @ u)
+            beta[j] = math.sqrt(u.dot(u))  # np.linalg.norm(u) without its wrapper
             top = max(top, abs(alpha[j]), beta[j])
             invariant = beta[j] <= _BREAKDOWN * top
             if invariant or j + 1 == n:
                 break
-            basis[j + 1] = u / beta[j]
+            np.divide(u, beta[j], out=basis[j + 1])
         k = j + 1
         # eigh reads only the lower triangle of the tridiagonal matrix.
         theta, s = np.linalg.eigh(np.diag(alpha[:k]) + np.diag(beta[: k - 1], -1))
@@ -222,7 +224,9 @@ def spectral_init(problem, seed=0):
     mask = selection_mask(b, r2)
 
     def op(v):
-        return apply_adjoint(ens, mask * apply(ens, v))
+        av = apply(ens, v)
+        av *= mask
+        return apply_adjoint(ens, av)
 
     eig = min_eigenvector(op, d, seed=seed, max_iters=_MAX_ITERS, angle_tol=_ANGLE_TOL)
     r_hat = math.sqrt(r2 * m * d / fro2)

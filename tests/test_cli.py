@@ -136,6 +136,21 @@ def test_landscape_and_probe_commands(tmp_path):
     assert "kappa_hat" in json.loads((tmp_path / "p.json").read_text())
 
 
+def test_probe_runs_on_a_sketch(tmp_path):
+    out = tmp_path / "p.json"
+    assert main(["probe", "probe=sharpness", "kind=hadamard", "l=64", "k=3", "samples=10",
+                 f"out={out}", "quiet=true"]) == 0
+    result = json.loads(out.read_text())
+    assert (result["d"], result["m"]) == (64, 192)
+
+
+def test_the_parser_is_built_once_and_outlives_a_usage_error(tmp_path, capsys):
+    assert cli._parser() is cli._parser()
+    assert main(["solve", "--no-such-flag"]) == 1
+    assert main(["probe", "probe=weak_convexity", "d=6", "m=30", "quiet=true"]) == 0
+    assert cli._parser() is cli._parser()
+
+
 def test_image_command_end_to_end(tmp_path):
     img = np.linspace(0, 255, 64, dtype=np.uint8).reshape(8, 8)
     src = tmp_path / "in.pgm"

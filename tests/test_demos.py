@@ -35,3 +35,17 @@ def test_convergence_demo_recovers_corrupted_data_without_the_oracle(tmp_path):
     assert fields["restarts"] == "0"
     assert int(fields["iters"]) <= 140
     assert float(fields["final_rel_dist"]) <= 1e-10
+
+
+def test_image_demo_prints_seconds_next_to_matvecs(tmp_path):
+    done = run_demo(ROOT / "demos" / "image_recovery.py", tmp_path)
+    assert done.returncode == 0, done.stderr
+    stages = {}
+    for line in done.stdout.splitlines():
+        name, _, rest = line.partition(":")
+        if name in ("init", "solve"):
+            stages[name] = dict(tok.split("=") for tok in rest.split())
+    init, solve = stages["init"], stages["solve"]
+    assert float(init["init_s"]) > 0 and float(solve["solve_s"]) > 0
+    assert int(init["init_matvecs"]) == 2 * (int(init["init_iters"]) + 1)
+    assert int(solve["solve_matvecs"]) == 2 * int(solve["iterations"])

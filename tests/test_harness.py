@@ -141,7 +141,7 @@ COMMAND_KEYS = {
                 "tol_dist", "quiet"},
     "image": {"input", "output", "k", "seed", "max_iters", "tol_value",
               "tol_dist", "min_value", "out", "quiet"},
-    "probe": {"probe", "d", "m", "seed", "samples", "out", "quiet"},
+    "probe": {"probe", "kind", "d", "m", "l", "k", "seed", "samples", "out", "quiet"},
 }
 
 DEFAULTS = {
@@ -696,11 +696,14 @@ def test_certify_points_rejects_an_overflowing_candidate_against_an_axis_signal(
 # probe
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("probe,key", [
+PROBES = [
     ("sharpness", "kappa_hat"),
     ("weak_convexity", "rho_hat"),
     ("concentration", "max_deviation"),
-])
+]
+
+
+@pytest.mark.parametrize("probe,key", PROBES)
 def test_run_probe_kinds(tmp_path, probe, key):
     out = tmp_path / "probe.json"
     # Only the sampling probes take samples.
@@ -721,18 +724,46 @@ def test_run_probe_kinds(tmp_path, probe, key):
         assert result[key] == getattr(rp.regularity_probe(problem.ensemble, 20, 1), key)
 
 
+@pytest.mark.parametrize("probe,key", PROBES)
+def test_run_probe_on_a_sketch_reports_what_the_library_computes(probe, key):
+    samples = {} if probe == "weak_convexity" else {"samples": "20"}
+    cfg = harness.build_config("probe", {
+        "probe": probe, "kind": "hadamard", "l": "16", "k": "3", "seed": "2", **samples,
+        "quiet": "true"})
+    result = harness.run_probe(cfg)
+    # d and m are the problem's: l and k * l.
+    assert (result["d"], result["m"]) == (16, 48)
+    problem = harness._seeded_problem(cfg, 2)
+    assert problem.ensemble.kind == rp.HADAMARD_SKETCH
+    if probe == "weak_convexity":
+        assert result[key] == rp.weak_convexity_modulus(problem)
+    else:
+        assert result[key] == getattr(rp.regularity_probe(problem.ensemble, 20, 2), key)
+
+
+GAUSSIAN_PROBE = {"d": "2000", "m": "40000"}
+
+
 @pytest.mark.parametrize("settings,message", [
-    ({"probe": "mystery"}, "unknown probe 'mystery'"),
-    ({"probe": "sharpness"}, "command 'probe' requires 'samples'"),
-    ({"probe": "concentration", "samples": "0"}, "samples must be at least 1, got 0"),
-    ({"probe": "weak_convexity", "samples": "200"}, "takes no 'samples'"),
+    ({**GAUSSIAN_PROBE, "probe": "mystery"}, "unknown probe 'mystery'"),
+    ({**GAUSSIAN_PROBE, "probe": "sharpness"}, "command 'probe' requires 'samples'"),
+    ({**GAUSSIAN_PROBE, "probe": "concentration", "samples": "0"},
+     "samples must be at least 1, got 0"),
+    ({**GAUSSIAN_PROBE, "probe": "weak_convexity", "samples": "200"}, "takes no 'samples'"),
+    ({"probe": "weak_convexity", "d": "2000"}, "command 'probe' requires 'm'"),
+    ({"probe": "weak_convexity", "kind": "hadamard", "l": "65536"},
+     "command 'probe' requires 'k'"),
+    ({"probe": "weak_convexity", "kind": "hadamard", "d": "4", "m": "8"},
+     "command 'probe' requires 'l'"),
+    ({**GAUSSIAN_PROBE, "probe": "weak_convexity", "kind": "fourier"},
+     "unknown ensemble kind 'fourier'"),
 ])
 def test_run_probe_checks_its_settings_before_the_problem(monkeypatch, settings, message):
     def no_problem(cfg, seed):
         raise AssertionError("the problem was drawn before the settings were checked")
 
     monkeypatch.setattr(harness, "_seeded_problem", no_problem)
-    cfg = harness.build_config("probe", {"d": "2000", "m": "40000", **settings})
+    cfg = harness.build_config("probe", settings)
     with pytest.raises(harness.ConfigError, match=message):
         harness.run_probe(cfg)
 

@@ -383,3 +383,37 @@ def test_objective_on_a_block_equals_per_point_results():
             else:
                 assert f == pytest.approx(rp.value(p, x), rel=1e-12, abs=0)
                 np.testing.assert_allclose(zeta, subgradient(p, x), rtol=1e-12, atol=0)
+
+
+def guard_problems():
+    """The same kind of problem on C-order dense rows, column-major dense rows and a sketch."""
+    fortran = seeded_problem(24, 150, seed=8)
+    c_rows = rp.MeasurementEnsemble(rows=np.ascontiguousarray(fortran.ensemble.rows))
+    sketch = rp.hadamard_ensemble(32, 3, seed=8)
+    return {
+        "c_rows": rp.measure(c_rows, fortran.truth),
+        "fortran_rows": fortran,
+        "sketch": rp.measure(sketch, rp.rng_for(8, 99).standard_normal(32)),
+    }
+
+
+@pytest.mark.parametrize("name", ["c_rows", "fortran_rows", "sketch"])
+def test_value_and_subgradient_are_the_reference_formulas_bit_for_bit(name):
+    # The reference is the plain formula, np.mean of |r| and (2/m) A^T(sign(r) Ax);
+    # the objective builds it in place and sums with np.add.reduce, and must
+    # not move a bit, at one point or on an (N, d) block.
+    p = guard_problems()[name]
+    ens = p.ensemble
+    rng = np.random.default_rng(9)
+    points = [rng.standard_normal(p.d), p.truth, np.zeros(p.d), rng.standard_normal((5, p.d))]
+    for x in points:
+        ax = rp.apply(ens, x)
+        r = ax * ax - p.b
+        f_ref = np.mean(np.abs(r), axis=-1)
+        g_ref = (2.0 / p.m) * rp.apply_adjoint(ens, np.sign(r) * ax)
+        f, g = rp.value_and_subgradient(p, x)
+        assert np.array_equal(f, f_ref)
+        assert np.array_equal(g, g_ref)
+        assert np.array_equal(rp.value(p, x), f_ref)
+        if x.ndim == 1:
+            assert type(f) is float and f == f_ref

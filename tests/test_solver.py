@@ -462,3 +462,28 @@ def test_the_trace_reports_its_rule_products_and_final_distance(kind):
         assert trace.step_rule == ("geometric" if kind == "corrupted" else "polyak")
         assert trace.matvecs == 2 * trace.iterations
     assert trace.status == rp.CONVERGED
+
+
+def test_rel_dist_and_the_step_are_the_reference_formulas_bit_for_bit():
+    # _rel_dist reuses one buffer and polyak_step builds x - coef * zeta in
+    # zeta's storage; neither may move a bit from the plain formulas.
+    rng = np.random.default_rng(12)
+    xbar = rng.standard_normal(1000)
+    nb = np.linalg.norm(xbar)
+    for x in [*rng.standard_normal((20, 1000)), xbar + 1e-3 * rng.standard_normal(1000),
+              -xbar, xbar, np.zeros(1000)]:
+        ref = min(np.linalg.norm(x - xbar), np.linalg.norm(x + xbar)) / nb
+        assert solver._rel_dist(x, xbar, nb) == ref
+    assert solver._rel_dist(xbar, np.zeros(1000), 0.0) is None
+    p = seeded_problem(30, 150, seed=12)
+    for x in [*rng.standard_normal((5, 30)), p.truth, np.zeros(30)]:
+        f, zeta = rp.value_and_subgradient(p, x)
+        gn = np.linalg.norm(zeta)
+        for length in (None, 0.5):
+            step = rp.polyak_step(p, x, length=length)
+            assert step.subgrad_norm == gn
+            if gn > 0:
+                coef = f / gn**2 if length is None else length / gn
+                assert np.array_equal(step.next_x, x - coef * zeta)
+            else:
+                assert step.next_x is None

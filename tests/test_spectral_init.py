@@ -290,3 +290,30 @@ def test_spectral_init_non_finite_measurement_is_not_converged(bad):
                               seed=2)
     assert report.converged is False
     assert not np.all(np.isfinite(report.x0))
+
+
+@pytest.mark.parametrize("kind", ["c_rows", "fortran_rows", "sketch"])
+def test_the_init_operator_is_the_reference_formula_bit_for_bit(monkeypatch, kind):
+    # spectral_init masks A v in place; its operator must stay
+    # apply_adjoint(ens, mask * apply(ens, v)) to the bit.
+    if kind == "sketch":
+        ens = rp.hadamard_ensemble(64, 3, seed=6)
+    else:
+        ens = rp.gaussian_ensemble(40, 240, seed=6)
+        if kind == "c_rows":
+            ens = rp.MeasurementEnsemble(rows=np.ascontiguousarray(ens.rows))
+    problem = rp.measure(ens, rp.rng_for(6, 99).standard_normal(ens.d))
+    ops = []
+    real = spectral.min_eigenvector
+
+    def spy(op, d, **kwargs):
+        ops.append(op)
+        return real(op, d, **kwargs)
+
+    monkeypatch.setattr(spectral, "min_eigenvector", spy)
+    rp.spectral_init(problem, seed=0)
+    mask = spectral.selection_mask(problem.b, problem.b.mean())
+    rng = np.random.default_rng(6)
+    for _ in range(3):
+        v = rng.standard_normal(ens.d)
+        assert np.array_equal(ops[0](v), rp.apply_adjoint(ens, mask * rp.apply(ens, v)))
