@@ -198,44 +198,67 @@ def ensure_finite(name, arr):
 _ENSEMBLE_KEYS = {"gaussian": ("d", "m"), "hadamard": ("l", "k")}
 
 
-def _require_ensemble(cfg):
-    if cfg.kind not in _ENSEMBLE_KEYS:
-        raise ConfigError(f"unknown ensemble kind {cfg.kind!r}")
-    _require(cfg, *_ENSEMBLE_KEYS[cfg.kind])
+def _problem_builder(cfg):
+    """Check the settings of cfg's problem; return ``build(seed, signal=None)``.
 
+    A problem composes three choices:
 
-def _seeded_problem(cfg, seed):
-    """The seed's standard normal signal, measured as the config says."""
-    # Checked on every solve, before any draw; data at p_fail 0 is measured
-    # without a noise model.
+    * the ensemble: ``kind`` with d and m, or with l and k, drawn from the
+      seed; a given signal is sketched with l = its length and k blocks;
+    * the signal: the seed's standard normal, or the given vector (the
+      image's padded pixels);
+    * the noise: none at p_fail 0, else the model of the ``noise_*`` keys.
+
+    An unknown kind, a missing key, a key the kind does not read and a bad
+    noise setting are refused here, before anything is drawn.
+    """
     noise = NoiseModel(p_fail=cfg.noise_p_fail, scale=cfg.noise_scale,
                        seed=cfg.noise_seed, kind=cfg.noise_kind)
-    _require_ensemble(cfg)
-    if cfg.kind == "gaussian":
-        ens = gaussian_ensemble(cfg.d, cfg.m, seed)
-    else:
-        ens = hadamard_ensemble(cfg.l, cfg.k, seed)
-    xbar = rng_for(seed, _TAG_SIGNAL).standard_normal(ens.d)
-    return take_measurements(ens, xbar, noise if noise.p_fail > 0.0 else None)
+    # An image's sketch is as long as its padded pixels: it reads only k,
+    # which run_image_command requires.
+    if cfg.command != "image":
+        if cfg.kind not in _ENSEMBLE_KEYS:
+            raise ConfigError(f"unknown ensemble kind {cfg.kind!r}")
+        keys = _ENSEMBLE_KEYS[cfg.kind]
+        _require(cfg, *keys)
+        for name in ("d", "m", "l", "k"):
+            if name not in keys and getattr(cfg, name) is not None:
+                raise ConfigError(f"ensemble kind {cfg.kind!r} does not read {name!r}")
+
+    def build(seed, signal=None):
+        if signal is None:
+            ens = (gaussian_ensemble(cfg.d, cfg.m, seed) if cfg.kind == "gaussian"
+                   else hadamard_ensemble(cfg.l, cfg.k, seed))
+            signal = rng_for(seed, _TAG_SIGNAL).standard_normal(ens.d)
+        else:
+            ens = hadamard_ensemble(len(signal), cfg.k, seed)
+        return take_measurements(ens, signal, noise if noise.p_fail > 0.0 else None)
+
+    return build
 
 
-def _init_and_solve(problem, cfg, seed):
-    """Timed spectral init plus solver run; non-finite values raise FloatingPointError.
+def _solver_config(cfg):
+    """The solver settings, checked before anything is drawn, read or written.
 
     A given ``min_value`` selects the Polyak step; without one, noiseless
     data takes the Polyak step to 0 and corrupted data, whose minimum is
     unknown, the geometric step, which ``solver.run`` climbs through its
-    decays.  Returns the init report, the trace, and the summary entries
-    every command reports: step rule, stop status, iterations, ladder
+    decays.
+    """
+    min_value = 0.0 if cfg.min_value is None and cfg.noise_p_fail == 0.0 else cfg.min_value
+    return solver.SolverConfig(min_value=min_value, max_iters=cfg.max_iters,
+                               tol_value=cfg.tol_value, tol_dist=cfg.tol_dist)
+
+
+def _init_and_solve(problem, solver_cfg, seed):
+    """Timed spectral init plus solver run; non-finite values raise FloatingPointError.
+
+    Returns the init report, the trace, and the summary entries every
+    command reports: step rule, stop status, iterations, ladder
     restarts, init convergence, the matvecs (forward or adjoint products)
     and seconds of each stage, and wall time, their sum; the solver and the
     init report their own rule and products.
     """
-    min_value = cfg.min_value
-    if min_value is None and problem.noiseless:
-        min_value = 0.0
-    solver_cfg = solver.SolverConfig(min_value=min_value, max_iters=cfg.max_iters,
-                                     tol_value=cfg.tol_value, tol_dist=cfg.tol_dist)
     t0 = time.perf_counter()
     report = spectral.spectral_init(problem, seed)
     t1 = time.perf_counter()
@@ -261,14 +284,8 @@ def _init_and_solve(problem, cfg, seed):
     return report, trace, entries
 
 
-def _require_seeds(cfg):
-    if not cfg.seeds:
-        raise ConfigError(f"{cfg.command} requires at least one seed")
-
-
-def _run_one_seed(cfg, seed):
-    problem = _seeded_problem(cfg, seed)
-    report, trace, entries = _init_and_solve(problem, cfg, seed)
+def _run_one_seed(problem, solver_cfg, seed):
+    report, trace, entries = _init_and_solve(problem, solver_cfg, seed)
     try:
         rate = solver.geometric_rate_estimate(trace, window=50)
     except ValueError:
@@ -283,6 +300,14 @@ def _run_one_seed(cfg, seed):
     return problem, trace, summary
 
 
+def _seeded_runs(cfg):
+    """Check every setting; return the lazy (problem, trace, summary) of each seed."""
+    if not cfg.seeds:
+        raise ConfigError(f"{cfg.command} requires at least one seed")
+    build, solver_cfg = _problem_builder(cfg), _solver_config(cfg)
+    return (_run_one_seed(build(seed), solver_cfg, seed) for seed in cfg.seeds)
+
+
 def run_solve_experiment(cfg):
     """Generate, initialize, and solve one problem per seed; write CSV + JSON.
 
@@ -290,13 +315,14 @@ def run_solve_experiment(cfg):
     from the configured ensemble, the start point from spectral
     initialization.  Each trace goes to ``trace_seed<seed>.csv`` in
     ``out_dir``; a ``summary.json`` collects final relative distance, rate
-    estimate, status, and wall time per seed.
+    estimate, status, and wall time per seed.  Every setting is checked
+    before anything is drawn and before ``out_dir`` is made.
     """
-    _require_seeds(cfg)
+    runs = _seeded_runs(cfg)
     os.makedirs(cfg.out_dir, exist_ok=True)
     summaries = []
-    for seed in cfg.seeds:
-        _, trace, summary = _run_one_seed(cfg, seed)
+    for _, trace, summary in runs:
+        seed = summary["seed"]
         write_trace_csv(os.path.join(cfg.out_dir, f"trace_seed{seed}.csv"), trace)
         summaries.append(summary)
         if not cfg.quiet:
@@ -390,12 +416,13 @@ def run_image_command(cfg):
     initialization plus the Polyak method, resolves the global sign ambiguity
     by choosing the sign with smaller negativity mass over the pixel region,
     clamps to [0, 255], and writes the recovered image plus a JSON summary.
+    The problem is the seed's sketch of the padded pixels; every setting is
+    checked before the image is read.
     """
     _require(cfg, "input", "output", "k")
+    build, solver_cfg = _problem_builder(cfg), _solver_config(cfg)
     buf = ImageBuffer.from_array(netpbm.read_image(cfg.input))
-    ens = hadamard_ensemble(buf.pad_len, cfg.k, cfg.seed)
-    problem = take_measurements(ens, buf.to_vector())
-    _, trace, entries = _init_and_solve(problem, cfg, cfg.seed)
+    _, trace, entries = _init_and_solve(build(cfg.seed, buf.to_vector()), solver_cfg, cfg.seed)
     x = trace.final_x
     region = x[: buf.n_samples]
     if np.sum(np.maximum(0.0, -region)) > np.sum(np.maximum(0.0, region)):
@@ -473,16 +500,12 @@ def run_certify(cfg):
             xbar = json.load(fh)
         results = certify_points(points, xbar, cfg.m, threshold=cfg.threshold)
     else:
-        _require_seeds(cfg)
-        results = []
-        for seed in cfg.seeds:
-            problem, trace, summary = _run_one_seed(cfg, seed)
-            if trace.status != solver.MAX_ITERS:
-                continue
-            results.append(_certificate(
-                f"the final iterate of seed {seed}", trace.final_x, problem.truth, problem.m,
-                cfg.threshold, seed=seed, final_rel_dist=_json_scalar(summary["final_rel_dist"]),
-                restarts=summary["restarts"]))
+        results = [_certificate(
+            f"the final iterate of seed {summary['seed']}", trace.final_x, problem.truth,
+            problem.m, cfg.threshold, seed=summary["seed"],
+            final_rel_dist=summary["final_rel_dist"], restarts=summary["restarts"])
+            for problem, trace, summary in _seeded_runs(cfg)
+            if trace.status == solver.MAX_ITERS]
     if cfg.out is not None:
         write_json(cfg.out, results)
     if not cfg.quiet:
@@ -508,7 +531,7 @@ def run_probe(cfg):
     and refuses it.  Settings are checked before the draw.
     """
     _require(cfg, "probe")
-    _require_ensemble(cfg)
+    build = _problem_builder(cfg)
     if cfg.probe == "weak_convexity":
         if cfg.samples is not None:
             raise ConfigError("probe 'weak_convexity' computes its modulus and takes no 'samples'")
@@ -518,7 +541,7 @@ def run_probe(cfg):
             raise ConfigError(f"samples must be at least 1, got {cfg.samples}")
     else:
         raise ConfigError(f"unknown probe {cfg.probe!r}")
-    problem = _seeded_problem(cfg, cfg.seed)
+    problem = build(cfg.seed)
     out = {"probe": cfg.probe, "d": problem.d, "m": problem.m, "seed": cfg.seed}
     if cfg.probe == "weak_convexity":
         out["rho_hat"] = objective.weak_convexity_modulus(problem)

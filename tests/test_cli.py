@@ -37,7 +37,7 @@ def test_the_solve_command_and_the_library_take_one_path(tmp_path):
                 "noise_seed": "100", "seeds": "0"}
     assert main(["solve", *(f"{k}={v}" for k, v in settings.items()),
                  f"out_dir={tmp_path}", "quiet=true"]) == 0
-    problem = harness._seeded_problem(harness.build_config("solve", settings), 0)
+    problem = harness._problem_builder(harness.build_config("solve", settings))(0)
     trace = solver.run(problem, spectral.spectral_init(problem, 0).x0,
                        solver.SolverConfig(min_value=None, tol_dist=1e-10))
     rows = [line.split(",") for line in (tmp_path / "trace_seed0.csv").read_text().split()[1:]]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import robustpr as rp
-from robustpr import harness, landscape, netpbm
+from robustpr import cli, harness, landscape, netpbm
 
 
 def gradient_image(w=16, h=16):
@@ -252,7 +252,7 @@ def test_run_solve_experiment_zero_iteration_budget(tmp_path):
     assert summary[0]["status"] == "max_iters"
     assert summary[0]["iterations"] == 0
     # With no step taken, the final distance is the start's.
-    problem = harness._seeded_problem(cfg, 5)
+    problem = harness._problem_builder(cfg)(5)
     x0, xbar = rp.spectral_init(problem, 5).x0, problem.truth
     start = min(np.linalg.norm(x0 - xbar), np.linalg.norm(x0 + xbar)) / np.linalg.norm(xbar)
     assert summary[0]["final_rel_dist"] == start > 0.0
@@ -273,7 +273,7 @@ def _count_products(monkeypatch):
 
 @pytest.mark.parametrize("max_iters, status, ensemble", [
     (300, "converged", {}), (5, "max_iters", {}),
-    (300, "converged", {"kind": "hadamard", "l": 64, "k": 3})],
+    (300, "converged", {"kind": "hadamard", "l": 64, "k": 3, "d": None, "m": None})],
     ids=["300-converged", "5-max_iters", "sketch"])
 def test_summary_counts_the_matvecs_of_each_stage(tmp_path, monkeypatch, max_iters, status,
                                                   ensemble):
@@ -613,6 +613,35 @@ def test_image_pipeline_rgb(tmp_path):
     assert summary["exact_pixel_fraction"] >= 0.99
 
 
+def record_problems(monkeypatch):
+    """The problems the harness measures, in order, as it measures them."""
+    problems = []
+    real = harness.take_measurements
+
+    def recorded(ens, xbar, noise=None):
+        problems.append(real(ens, xbar, noise))
+        return problems[-1]
+
+    monkeypatch.setattr(harness, "take_measurements", recorded)
+    return problems
+
+
+def test_image_problem_is_the_sketch_of_its_seed_on_the_padded_pixels(tmp_path, monkeypatch):
+    problems = record_problems(monkeypatch)
+    rgb = np.random.default_rng(4).integers(0, 256, size=(5, 6, 3)).astype(np.uint8)
+    src = tmp_path / "in.ppm"
+    netpbm.write_image(src, rgb)
+    run_image(src, tmp_path / "out.ppm", k=3, seed=7, max_iters=2)
+    buf = harness.ImageBuffer.from_array(rgb)
+    expected = rp.measure(rp.hadamard_ensemble(buf.pad_len, 3, seed=7), buf.to_vector())
+    (problem,) = problems
+    assert problem.noise is None
+    np.testing.assert_array_equal(problem.ensemble.sign_diagonals,
+                                  expected.ensemble.sign_diagonals)
+    np.testing.assert_array_equal(problem.b, expected.b)
+    np.testing.assert_array_equal(problem.truth, expected.truth)
+
+
 # ---------------------------------------------------------------------------
 # certify
 # ---------------------------------------------------------------------------
@@ -717,7 +746,7 @@ def test_run_probe_kinds(tmp_path, probe, key):
     # Only the sampling probes report their samples.
     assert result.get("samples") == (None if probe == "weak_convexity" else 20)
     # The command reports what the library computes on the same problem.
-    problem = harness._seeded_problem(cfg, 1)
+    problem = harness._problem_builder(cfg)(1)
     if probe == "weak_convexity":
         assert result[key] == rp.weak_convexity_modulus(problem)
     else:
@@ -733,7 +762,7 @@ def test_run_probe_on_a_sketch_reports_what_the_library_computes(probe, key):
     result = harness.run_probe(cfg)
     # d and m are the problem's: l and k * l.
     assert (result["d"], result["m"]) == (16, 48)
-    problem = harness._seeded_problem(cfg, 2)
+    problem = harness._problem_builder(cfg)(2)
     assert problem.ensemble.kind == rp.HADAMARD_SKETCH
     if probe == "weak_convexity":
         assert result[key] == rp.weak_convexity_modulus(problem)
@@ -742,6 +771,8 @@ def test_run_probe_on_a_sketch_reports_what_the_library_computes(probe, key):
 
 
 GAUSSIAN_PROBE = {"d": "2000", "m": "40000"}
+# The solver commands' cases: a 160 MB ensemble would take about 0.4 s to draw.
+GAUSSIAN_SOLVE = {"d": "1000", "m": "20000"}
 
 
 @pytest.mark.parametrize("settings,message", [
@@ -757,15 +788,68 @@ GAUSSIAN_PROBE = {"d": "2000", "m": "40000"}
      "command 'probe' requires 'l'"),
     ({**GAUSSIAN_PROBE, "probe": "weak_convexity", "kind": "fourier"},
      "unknown ensemble kind 'fourier'"),
+    ({**GAUSSIAN_PROBE, "probe": "weak_convexity", "l": "64"},
+     "ensemble kind 'gaussian' does not read 'l'"),
+    # The other commands' cases name the command and the type that refuses
+    # the setting: the solver's and the noise's own (ValueError) or the
+    # harness's (ConfigError); the CLI exits 1 on both.
+    (("solve", ValueError, {**GAUSSIAN_SOLVE, "max_iters": "-1"}),
+     "max_iters must be at least 0, got -1"),
+    (("solve", ValueError, {**GAUSSIAN_SOLVE, "tol_dist": "nan"}), "tol_dist must be at least 0"),
+    (("solve", ValueError, {**GAUSSIAN_SOLVE, "noise_p_fail": "1.5"}), "p_fail must lie in"),
+    (("solve", harness.ConfigError, {"kind": "hadamard", "l": "65536", "k": "3", "d": "5"}),
+     "ensemble kind 'hadamard' does not read 'd'"),
+    (("solve", harness.ConfigError, {**GAUSSIAN_SOLVE, "k": "3"}),
+     "ensemble kind 'gaussian' does not read 'k'"),
+    (("certify", ValueError, {**GAUSSIAN_SOLVE, "max_iters": "-1"}),
+     "max_iters must be at least 0, got -1"),
+    (("certify", harness.ConfigError, {"kind": "hadamard", "l": "65536", "k": "3", "m": "8"}),
+     "ensemble kind 'hadamard' does not read 'm'"),
+    (("image", ValueError, {"k": "3", "max_iters": "-1"}), "max_iters must be at least 0, got -1"),
+    (("image", ValueError, {"k": "3", "tol_value": "-1"}), "tol_value must be at least 0"),
 ])
-def test_run_probe_checks_its_settings_before_the_problem(monkeypatch, settings, message):
-    def no_problem(cfg, seed):
-        raise AssertionError("the problem was drawn before the settings were checked")
+def test_run_probe_checks_its_settings_before_the_problem(tmp_path, monkeypatch, settings,
+                                                          message):
+    # Each command refuses a bad setting before it draws an ensemble, reads
+    # an image or makes its output directory.
+    def no_draw(*args):
+        raise AssertionError("a problem was drawn or read before the settings were checked")
 
-    monkeypatch.setattr(harness, "_seeded_problem", no_problem)
-    cfg = harness.build_config("probe", settings)
-    with pytest.raises(harness.ConfigError, match=message):
-        harness.run_probe(cfg)
+    for module, name in ((harness, "gaussian_ensemble"), (harness, "hadamard_ensemble"),
+                         (netpbm, "read_image")):
+        monkeypatch.setattr(module, name, no_draw)
+    command, error, settings = (settings if isinstance(settings, tuple)
+                                else ("probe", harness.ConfigError, settings))
+    paths = {"solve": {"out_dir": str(tmp_path / "runs")},
+             "image": {"input": str(tmp_path / "in.pgm"), "output": str(tmp_path / "out.pgm")}}
+    cfg = harness.build_config(command, {**settings, **paths.get(command, {})})
+    with pytest.raises(error, match=message):
+        cli._RUNNERS[command](cfg)
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("ensemble, draw", [
+    ({"d": "12", "m": "60"}, lambda seed: rp.gaussian_ensemble(12, 60, seed=seed)),
+    ({"kind": "hadamard", "l": "16", "k": "3"},
+     lambda seed: rp.hadamard_ensemble(16, 3, seed=seed)),
+], ids=["gaussian", "sketch"])
+def test_solve_certify_and_probe_draw_one_problem_per_seed(tmp_path, monkeypatch, ensemble,
+                                                           draw):
+    # The seed's standard normal signal, measured by the seed's ensemble, bit
+    # for bit the same in every command that draws from a seed.
+    problems = record_problems(monkeypatch)
+    run = {**ensemble, "max_iters": "2", "quiet": "true"}
+    harness.run_solve_experiment(harness.build_config(
+        "solve", {**run, "seeds": "4", "out_dir": str(tmp_path)}))
+    harness.run_certify(harness.build_config("certify", {**run, "seeds": "4"}))
+    harness.run_probe(harness.build_config("probe", {
+        **ensemble, "seed": "4", "probe": "weak_convexity", "quiet": "true"}))
+    ens = draw(4)
+    expected = rp.measure(ens, rp.rng_for(4, 40).standard_normal(ens.d))
+    assert len(problems) == 3
+    for problem in problems:
+        np.testing.assert_array_equal(problem.b, expected.b)
+        np.testing.assert_array_equal(problem.truth, expected.truth)
 
 
 def test_run_probe_unknown_kind():
