@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import landscape, netpbm, objective, solver, spectral
-from .measure import NoiseModel, gaussian_ensemble, hadamard_ensemble, rng_for
+from .measure import NoiseModel, check_sizes, gaussian_ensemble, hadamard_ensemble, rng_for
 from .measure import measure as take_measurements
 
 _TAG_SIGNAL = 40
@@ -209,21 +209,22 @@ def _problem_builder(cfg):
       image's padded pixels);
     * the noise: none at p_fail 0, else the model of the ``noise_*`` keys.
 
-    An unknown kind, a missing key, a key the kind does not read and a bad
-    noise setting are refused here, before anything is drawn.
+    An unknown kind, a missing or unread key, a bad size (``check_sizes``) and
+    a bad noise setting are refused here, before anything is drawn.
     """
     noise = NoiseModel(p_fail=cfg.noise_p_fail, scale=cfg.noise_scale,
                        seed=cfg.noise_seed, kind=cfg.noise_kind)
-    # An image's sketch is as long as its padded pixels: it reads only k,
-    # which run_image_command requires.
-    if cfg.command != "image":
-        if cfg.kind not in _ENSEMBLE_KEYS:
-            raise ConfigError(f"unknown ensemble kind {cfg.kind!r}")
+    if cfg.command == "image":
+        keys = ("k",)  # an image's sketch is as long as its padded pixels
+    elif cfg.kind in _ENSEMBLE_KEYS:
         keys = _ENSEMBLE_KEYS[cfg.kind]
-        _require(cfg, *keys)
-        for name in ("d", "m", "l", "k"):
-            if name not in keys and getattr(cfg, name) is not None:
-                raise ConfigError(f"ensemble kind {cfg.kind!r} does not read {name!r}")
+    else:
+        raise ConfigError(f"unknown ensemble kind {cfg.kind!r}")
+    _require(cfg, *keys)
+    for name in ("d", "m", "l", "k"):
+        if name not in keys and getattr(cfg, name) is not None:
+            raise ConfigError(f"ensemble kind {cfg.kind!r} does not read {name!r}")
+    check_sizes(**{name: getattr(cfg, name) for name in keys})
 
     def build(seed, signal=None):
         if signal is None:
@@ -419,7 +420,7 @@ def run_image_command(cfg):
     The problem is the seed's sketch of the padded pixels; every setting is
     checked before the image is read.
     """
-    _require(cfg, "input", "output", "k")
+    _require(cfg, "input", "output")
     build, solver_cfg = _problem_builder(cfg), _solver_config(cfg)
     buf = ImageBuffer.from_array(netpbm.read_image(cfg.input))
     _, trace, entries = _init_and_solve(build(cfg.seed, buf.to_vector()), solver_cfg, cfg.seed)
@@ -453,10 +454,6 @@ def run_image_command(cfg):
 # certify
 # ---------------------------------------------------------------------------
 
-def certificate_as_dict(cert, **extra):
-    return {name: _json_scalar(value) for name, value in vars(cert).items()} | extra
-
-
 def _certificate(name, x, xbar, m, threshold, **extra):
     """Candidate x's certificate entry; non-finite x or scores raise FloatingPointError."""
     ensure_finite(name, x)
@@ -467,7 +464,7 @@ def _certificate(name, x, xbar, m, threshold, **extra):
             math.isfinite(v) for v in (cert.block1_score, cert.block2_ratio_score,
                                        cert.block2_angle_score)):
         raise FloatingPointError(f"non-finite certificate scores for {name}")
-    return certificate_as_dict(cert, **extra)
+    return {name: _json_scalar(value) for name, value in vars(cert).items()} | extra
 
 
 def certify_points(points, xbar, m, threshold=landscape.DEFAULT_THRESHOLD):
@@ -537,8 +534,7 @@ def run_probe(cfg):
             raise ConfigError("probe 'weak_convexity' computes its modulus and takes no 'samples'")
     elif cfg.probe in _PROBE_KEYS:
         _require(cfg, "samples")
-        if cfg.samples < 1:
-            raise ConfigError(f"samples must be at least 1, got {cfg.samples}")
+        objective.check_samples(cfg.samples)
     else:
         raise ConfigError(f"unknown probe {cfg.probe!r}")
     problem = build(cfg.seed)

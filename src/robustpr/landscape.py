@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measure import NoiseModel, corruption, densify, rng_for
-from .objective import weak_convexity_modulus
+from .objective import check_samples, weak_convexity_modulus
 
 NEAR_SIGNAL = "near_signal"
 NEAR_ZERO = "near_zero"
@@ -351,8 +351,7 @@ def _mc_mean(samples):
 
 def mc_population_value(x, xbar, n, seed):
     """Monte Carlo estimate of E_a |<a,x>^2 - <a,xbar>^2| over Gaussian a."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    check_samples(n, "n")
     x = np.asarray(x, dtype=np.float64)
     xbar = np.asarray(xbar, dtype=np.float64)
     rng = rng_for(seed, _TAG_MC_POPULATION)
@@ -361,6 +360,7 @@ def mc_population_value(x, xbar, n, seed):
 
 
 def _chi2_pair(n, seed):
+    check_samples(n, "n")
     rng = rng_for(seed, _TAG_MC_SPECTRAL)
     v1 = rng.standard_normal(int(n)) ** 2
     v2 = rng.standard_normal(int(n)) ** 2
@@ -369,8 +369,6 @@ def _chi2_pair(n, seed):
 
 def mc_spectral_value(lambda1, lambda_d, n, seed):
     """Monte Carlo estimate of E |v1 lambda1 + v2 lambda_d|, v_i chi-squared(1)."""
-    if n < 1:
-        raise ValueError("n must be positive")
     v1, v2 = _chi2_pair(n, seed)
     return _mc_mean(np.abs(v1 * lambda1 + v2 * lambda_d))
 
@@ -385,8 +383,6 @@ def mc_corrupted_population_value(x, xbar, p_fail, scale, n, seed, kind="gaussia
     not finite: no entry is corrupted, so the scale is never used.
     """
     noise = NoiseModel(p_fail=p_fail, scale=scale if p_fail > 0.0 else 0.0, seed=seed, kind=kind)
-    if n < 1:
-        raise ValueError("n must be positive")
     spec = rank_two_spectrum(x, xbar)
     v1, v2 = _chi2_pair(n, seed)
     core = v1 * spec.lambda_max + v2 * spec.lambda_min

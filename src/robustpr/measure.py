@@ -55,8 +55,19 @@ def rng_for(seed, tag):
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([int(seed), int(tag)])))
 
 
-def _is_power_of_two(n):
-    return n >= 1 and (n & (n - 1)) == 0
+def check_sizes(d=None, m=None, l=None, k=None, max_bytes=DENSE_BUDGET_BYTES):
+    """Refuse a bad ensemble size by its name; a size given as None is not checked.
+
+    Dense rows need d, m >= 1 and their 8 m d bytes within ``max_bytes``; a
+    sketch needs a power-of-two length l and k >= 1 blocks.
+    """
+    for name, n in (("d", d), ("m", m), ("k", k)):
+        if n is not None and n < 1:
+            raise ValueError(f"{name} must be positive, got {n}")
+    if l is not None and (l < 1 or l & (l - 1)):
+        raise ValueError(f"sketch length l must be a power of two, got {l}")
+    if d is not None and m is not None and 8 * int(m) * int(d) > max_bytes:
+        raise CapacityError(f"dense {m}x{d} rows need {8 * int(m) * int(d)} bytes > {max_bytes}")
 
 
 @dataclass(frozen=True)
@@ -80,15 +91,15 @@ class MeasurementEnsemble:
         if (self.rows is None) == (self.sign_diagonals is None):
             raise ValueError("give exactly one of rows and sign_diagonals")
         array = self.rows if self.sign_diagonals is None else self.sign_diagonals
-        if array.ndim != 2 or array.size == 0:
+        if array.ndim != 2:
             raise ValueError(f"expected a nonempty 2-D array, got shape {array.shape}")
         if self.sign_diagonals is None:
             kind, (m, d) = DENSE_GAUSSIAN, array.shape
+            check_sizes(d=d, m=m, max_bytes=math.inf)
         else:
             k, d = array.shape
-            if not _is_power_of_two(d):
-                raise ValueError(f"sketch length must be a power of two, got {d}")
             kind, m = HADAMARD_SKETCH, k * d
+            check_sizes(l=d, k=k)
         array.setflags(write=False)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "d", d)
@@ -172,13 +183,7 @@ def gaussian_ensemble(d, m, seed, max_bytes=DENSE_BUDGET_BYTES):
     drawn in row blocks of about ``_FILL_BYTES`` through one small buffer, so
     no second m x d array is made.
     """
-    if d < 1 or m < 1:
-        raise ValueError(f"d and m must be positive, got d={d}, m={m}")
-    nbytes = 8 * int(m) * int(d)
-    if nbytes > max_bytes:
-        raise CapacityError(
-            f"dense {m}x{d} ensemble needs {nbytes} bytes, budget is {max_bytes}"
-        )
+    check_sizes(d=d, m=m, max_bytes=max_bytes)
     rng = rng_for(seed, _TAG_ROWS)
     rows = np.empty((d, m)).T
     buf = np.empty((min(m, max(1, _FILL_BYTES // (8 * d))), d))
@@ -191,8 +196,7 @@ def gaussian_ensemble(d, m, seed, max_bytes=DENSE_BUDGET_BYTES):
 
 def hadamard_ensemble(l, k, seed):
     """Sketch [H S_1 ... H S_k]^T with k i.i.d. uniform +-1 diagonals of length l."""
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
+    check_sizes(l=l, k=k)
     signs = 2.0 * rng_for(seed, _TAG_SIGNS).integers(0, 2, size=(k, l)).astype(np.float64) - 1.0
     return MeasurementEnsemble(sign_diagonals=signs)
 
@@ -268,8 +272,7 @@ def fwht(v):
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 1:
         raise ValueError(f"expected a vector, got shape {v.shape}")
-    if not _is_power_of_two(v.shape[0]):
-        raise ValueError(f"length must be a power of two, got {v.shape[0]}")
+    check_sizes(l=v.shape[0])
     return _fwht_last_axis(v)
 
 

@@ -113,6 +113,12 @@ def _abs_product_means(ensemble, pairs):
     return np.mean(np.abs(g, out=g), axis=-1)
 
 
+def check_samples(samples, name="samples"):
+    """Raise unless a sampled estimate (this probe, a Monte Carlo mean) draws at least once."""
+    if samples < 1:
+        raise ValueError(f"{name} must be at least 1, got {samples}")
+
+
 def regularity_probe(ensemble, samples, seed):
     """Smallest g(u, v) and its largest deviation from the Gaussian mean over seeded unit pairs.
 
@@ -125,8 +131,7 @@ def regularity_probe(ensemble, samples, seed):
     ``samples`` extends the same sequence, and are evaluated in blocks of
     bounded size through the ensemble's forward product.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
+    check_samples(samples)
     m, d = ensemble.m, ensemble.d
     sigma2 = squared_frobenius_norm(ensemble) / (m * d)
     block = max(1, _BLOCK_ENTRIES // (2 * max(m, d)))

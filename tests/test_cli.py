@@ -309,6 +309,20 @@ def test_quiet_false_words_print(tmp_path, capsys, word):
      "noise scale must be finite, got nan"),
     (["solve", "d=10", "m=40", "seeds=0", "noise_p_fail=0", "noise_scale=inf"],
      "noise scale must be finite, got inf"),
+    # A bad ensemble size is refused before a draw or out_dir, by its name.
+    (["solve", "d=0", "m=10", "out_dir=runs"], "d must be positive, got 0"),
+    (["solve", "d=-1", "m=5", "out_dir=runs"], "d must be positive, got -1"),
+    (["solve", "kind=hadamard", "l=100", "k=3", "out_dir=runs"],
+     "sketch length l must be a power of two, got 100"),
+    (["solve", "kind=hadamard", "l=0", "k=3", "out_dir=runs"],
+     "sketch length l must be a power of two, got 0"),
+    (["solve", "kind=hadamard", "l=-4", "k=3", "out_dir=runs"],
+     "sketch length l must be a power of two, got -4"),
+    (["solve", "kind=hadamard", "l=64", "k=0", "out_dir=runs"], "k must be positive, got 0"),
+    # 80 GB of rows, over the 2 GiB budget
+    (["solve", "d=100000", "m=100000", "out_dir=runs"], "dense 100000x100000 rows need"),
+    # k is checked before the picture is opened, so a missing one is no i/o error.
+    (["image", "input=missing.pgm", "output=o.pgm", "k=0"], "k must be positive, got 0"),
 ])
 def test_bad_settings_are_usage_errors(tmp_path, capsys, monkeypatch, args, message):
     monkeypatch.chdir(tmp_path)

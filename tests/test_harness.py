@@ -778,7 +778,8 @@ GAUSSIAN_SOLVE = {"d": "1000", "m": "20000"}
 @pytest.mark.parametrize("settings,message", [
     ({**GAUSSIAN_PROBE, "probe": "mystery"}, "unknown probe 'mystery'"),
     ({**GAUSSIAN_PROBE, "probe": "sharpness"}, "command 'probe' requires 'samples'"),
-    ({**GAUSSIAN_PROBE, "probe": "concentration", "samples": "0"},
+    # objective.check_samples, which regularity_probe also calls, refuses it
+    (("probe", ValueError, {**GAUSSIAN_PROBE, "probe": "concentration", "samples": "0"}),
      "samples must be at least 1, got 0"),
     ({**GAUSSIAN_PROBE, "probe": "weak_convexity", "samples": "200"}, "takes no 'samples'"),
     ({"probe": "weak_convexity", "d": "2000"}, "command 'probe' requires 'm'"),
@@ -807,6 +808,17 @@ GAUSSIAN_SOLVE = {"d": "1000", "m": "20000"}
      "ensemble kind 'hadamard' does not read 'm'"),
     (("image", ValueError, {"k": "3", "max_iters": "-1"}), "max_iters must be at least 0, got -1"),
     (("image", ValueError, {"k": "3", "tol_value": "-1"}), "tol_value must be at least 0"),
+    # measure.check_sizes, which the ensemble constructors also call, refuses
+    # a bad size before a draw, a read or an out_dir.
+    (("solve", ValueError, {"d": "0", "m": "10"}), "d must be positive, got 0"),
+    (("certify", ValueError, {"d": "4", "m": "-1"}), "m must be positive, got -1"),
+    (("solve", ValueError, {"kind": "hadamard", "l": "100", "k": "3"}),
+     "sketch length l must be a power of two, got 100"),
+    (("probe", ValueError, {"probe": "weak_convexity", "kind": "hadamard", "l": "64", "k": "0"}),
+     "k must be positive, got 0"),
+    (("solve", rp.CapacityError, {"d": "100000", "m": "100000"}),
+     "dense 100000x100000 rows need"),
+    (("image", ValueError, {"k": "0"}), "k must be positive, got 0"),
 ])
 def test_run_probe_checks_its_settings_before_the_problem(tmp_path, monkeypatch, settings,
                                                           message):

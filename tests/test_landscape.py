@@ -510,6 +510,16 @@ def test_certify_far_collinear_point_is_unexplained_at_strict_threshold():
     assert cert.verdict == rp.UNEXPLAINED
 
 
+@pytest.mark.parametrize("estimate", [
+    lambda n: rp.mc_population_value([1.0, 0.0], [0.0, 1.0], n, seed=0),
+    lambda n: rp.mc_spectral_value(1.0, -1.0, n, seed=0),
+    lambda n: rp.mc_corrupted_population_value([1.0, 0.0], [0.0, 1.0], 0.1, 1.0, n, seed=0),
+], ids=["population", "spectral", "corrupted"])
+def test_monte_carlo_oracles_refuse_no_samples_by_the_probes_rule(estimate):
+    with pytest.raises(ValueError, match="n must be at least 1, got 0"):
+        estimate(0)
+
+
 def test_certify_rejects_a_zero_signal_and_no_measurements():
     with pytest.raises(ValueError, match="xbar must be nonzero"):
         rp.certify_stationary(np.ones(2), np.zeros(2), 50)

@@ -7,7 +7,7 @@ import pytest
 from scipy.linalg import hadamard as dense_hadamard
 
 import robustpr as rp
-from robustpr.measure import (_FILL_BYTES, _H_RADIX, _fwht_last_axis, corruption,
+from robustpr.measure import (_FILL_BYTES, _H_RADIX, _fwht_last_axis, check_sizes, corruption,
                               squared_frobenius_norm)
 
 SQ2 = math.sqrt(2.0)
@@ -81,6 +81,35 @@ def test_gaussian_ensemble_preconditions():
 def test_gaussian_ensemble_capacity_budget():
     with pytest.raises(rp.CapacityError):
         rp.gaussian_ensemble(1000, 1000, seed=0, max_bytes=10_000)
+
+
+@pytest.mark.parametrize("sizes, error, message", [
+    ({"d": 0, "m": 10}, ValueError, "d must be positive, got 0"),
+    ({"d": 5, "m": -1}, ValueError, "m must be positive, got -1"),
+    ({"l": 64, "k": 0}, ValueError, "k must be positive, got 0"),
+    ({"l": 100, "k": 3}, ValueError, "sketch length l must be a power of two, got 100"),
+    ({"l": 0, "k": 3}, ValueError, "sketch length l must be a power of two, got 0"),
+    ({"l": -4, "k": 3}, ValueError, "sketch length l must be a power of two, got -4"),
+    ({"d": 100_000, "m": 100_000}, rp.CapacityError, "dense 100000x100000 rows need"),
+])
+def test_each_size_rule_names_its_setting_in_the_check_and_the_constructors(sizes, error,
+                                                                           message):
+    # One rule, read by the check and by the constructor that would draw.
+    with pytest.raises(error, match=message):
+        check_sizes(**sizes)
+    draw = rp.gaussian_ensemble if "d" in sizes else rp.hadamard_ensemble
+    with pytest.raises(error, match=message):
+        draw(*sizes.values(), seed=0)
+
+
+def test_check_sizes_skips_a_size_given_as_none():
+    check_sizes()
+    check_sizes(d=3)
+    check_sizes(l=1, k=1)
+    # given rows are already allocated, so only a draw is held to the budget
+    check_sizes(d=1000, m=1000, max_bytes=math.inf)
+    with pytest.raises(rp.CapacityError):
+        check_sizes(d=1000, m=1000, max_bytes=10_000)
 
 
 def test_hadamard_ensemble_shapes():
@@ -217,9 +246,9 @@ def test_ensemble_reads_its_kind_and_sizes_from_its_array():
      "exactly one of rows and sign_diagonals"),
     ({"rows": np.ones(3)}, "expected a nonempty 2-D array"),
     ({"sign_diagonals": np.ones((1, 2, 2))}, "expected a nonempty 2-D array"),
-    # m = 0 made every objective value NaN
-    ({"rows": np.zeros((0, 3))}, "expected a nonempty 2-D array"),
-    ({"sign_diagonals": np.ones((0, 4))}, "expected a nonempty 2-D array"),
+    # m = 0 made every objective value NaN; check_sizes names the empty size
+    ({"rows": np.zeros((0, 3))}, "m must be positive, got 0"),
+    ({"sign_diagonals": np.ones((0, 4))}, "k must be positive, got 0"),
     # l = 3 used to be accepted, and A^T A x was not x
     ({"sign_diagonals": np.ones((1, 3))}, "must be a power of two, got 3"),
 ])
