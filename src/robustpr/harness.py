@@ -374,22 +374,23 @@ def run_landscape_grid(xbar, half_width, grid_n, out_path):
 
 @dataclass(frozen=True)
 class ImageBuffer:
-    """An 8-bit image and its padded channel-major vectorization."""
+    """An 8-bit image with samples in [0, maxval] and its padded channel-major vectorization."""
 
     width: int
     height: int
     channels: int
     pixels: np.ndarray
     pad_len: int
+    maxval: int = 255
 
     @classmethod
-    def from_array(cls, arr):
+    def from_array(cls, arr, maxval=255):
         arr = np.asarray(arr, dtype=np.uint8)
         if not (arr.ndim == 2 or (arr.ndim == 3 and arr.shape[2] == 3)):
             raise ValueError(f"unsupported image shape {arr.shape}")
         h, w, c = np.atleast_3d(arr).shape
         return cls(width=w, height=h, channels=c, pixels=arr,
-                   pad_len=1 << (w * h * c - 1).bit_length())
+                   pad_len=1 << (w * h * c - 1).bit_length(), maxval=maxval)
 
     @property
     def n_samples(self):
@@ -403,8 +404,8 @@ class ImageBuffer:
         return out
 
     def from_vector(self, vec):
-        """Clamp to [0, 255], round, and reshape back to image layout."""
-        flat = np.clip(np.asarray(vec, dtype=np.float64)[: self.n_samples], 0.0, 255.0)
+        """Clamp to [0, maxval], round, and reshape back to image layout."""
+        flat = np.clip(np.asarray(vec, dtype=np.float64)[: self.n_samples], 0.0, self.maxval)
         planes = np.rint(flat).astype(np.uint8).reshape(self.channels, self.height, self.width)
         return np.moveaxis(planes, 0, 2).reshape(self.pixels.shape)
 
@@ -416,20 +417,24 @@ def run_image_command(cfg):
     power of two, measures with k Hadamard-sign blocks, runs spectral
     initialization plus the Polyak method, resolves the global sign ambiguity
     by choosing the sign with smaller negativity mass over the pixel region,
-    clamps to [0, 255], and writes the recovered image plus a JSON summary.
-    The problem is the seed's sketch of the padded pixels; every setting is
-    checked before the image is read.
+    clamps to [0, maxval], and writes the recovered image, with the input's
+    maxval, plus a JSON summary.  The problem is the seed's sketch of the
+    padded pixels; every setting and both destinations are checked before
+    the image is read.
     """
     _require(cfg, "input", "output")
     build, solver_cfg = _problem_builder(cfg), _solver_config(cfg)
-    buf = ImageBuffer.from_array(netpbm.read_image(cfg.input))
+    summary_path = cfg.out or cfg.output + ".json"
+    for path in (cfg.output, summary_path):
+        netpbm.check_destination(path)
+    buf = ImageBuffer.from_array(*netpbm.read_image(cfg.input))
     _, trace, entries = _init_and_solve(build(cfg.seed, buf.to_vector()), solver_cfg, cfg.seed)
     x = trace.final_x
     region = x[: buf.n_samples]
     if np.sum(np.maximum(0.0, -region)) > np.sum(np.maximum(0.0, region)):
         x = -x
     recovered = buf.from_vector(x)
-    netpbm.write_image(cfg.output, recovered)
+    netpbm.write_image(cfg.output, recovered, buf.maxval)
     summary = {
         "width": buf.width,
         "height": buf.height,
@@ -441,7 +446,7 @@ def run_image_command(cfg):
         "exact_pixel_fraction": float(np.mean(recovered == buf.pixels)),
         **entries,
     }
-    write_json(cfg.out or cfg.output + ".json", summary)
+    write_json(summary_path, summary)
     if not cfg.quiet:
         rel = summary["rel_dist"]
         print(f"image {cfg.input}: status={trace.status} iters={trace.iterations}"
@@ -486,11 +491,17 @@ def run_certify(cfg):
     vector), and ``m``.  Without a candidates file, the solve experiment runs
     per seed and the final iterates of runs that hit the iteration cap are
     certified against their own signals.  The threshold is checked first, so
-    a bad one fails before any solve, also when no run is certified.
+    a bad one fails before any solve, also when no run is certified; every
+    other setting and the ``out`` destination are checked before a file is
+    read or a problem drawn.
     """
     landscape.check_threshold(cfg.threshold)
     if cfg.candidates is not None:
         _require(cfg, "truth", "m")
+    runs = None if cfg.candidates is not None else _seeded_runs(cfg)
+    if cfg.out is not None:
+        netpbm.check_destination(cfg.out)
+    if runs is None:
         with open(cfg.candidates, "r", encoding="utf-8") as fh:
             points = json.load(fh)
         with open(cfg.truth, "r", encoding="utf-8") as fh:
@@ -501,7 +512,7 @@ def run_certify(cfg):
             f"the final iterate of seed {summary['seed']}", trace.final_x, problem.truth,
             problem.m, cfg.threshold, seed=summary["seed"],
             final_rel_dist=summary["final_rel_dist"], restarts=summary["restarts"])
-            for problem, trace, summary in _seeded_runs(cfg)
+            for problem, trace, summary in runs
             if trace.status == solver.MAX_ITERS]
     if cfg.out is not None:
         write_json(cfg.out, results)
@@ -525,7 +536,8 @@ def run_probe(cfg):
     The ensemble is chosen as for ``solve`` (``kind``, with d and m or l and
     k), and the report gives the problem's d and m.  The sampled probes
     require ``samples`` and report it; the weak-convexity modulus is computed
-    and refuses it.  Settings are checked before the draw.
+    and refuses it.  Settings and the ``out`` destination are checked
+    before the draw.
     """
     _require(cfg, "probe")
     build = _problem_builder(cfg)
@@ -537,6 +549,8 @@ def run_probe(cfg):
         objective.check_samples(cfg.samples)
     else:
         raise ConfigError(f"unknown probe {cfg.probe!r}")
+    if cfg.out is not None:
+        netpbm.check_destination(cfg.out)
     problem = build(cfg.seed)
     out = {"probe": cfg.probe, "d": problem.d, "m": problem.m, "seed": cfg.seed}
     if cfg.probe == "weak_convexity":

@@ -104,6 +104,47 @@ def test_unwritable_output_is_io_error(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("args, bad", [
+    (["solve", "d=8", "m=40", "out_dir={tmp}/file/runs"], "file/runs"),
+    (["landscape", "xbar=1,1", "grid_n=5", "out={tmp}/missing/g.csv"], "missing/g.csv"),
+    (["certify", "d=8", "m=40", "max_iters=5", "out={tmp}/missing/c.json"], "missing/c.json"),
+    (["certify", "candidates={tmp}/nowhere.json", "truth={tmp}/nowhere.json", "m=10",
+      "out={tmp}/missing/c.json"], "missing/c.json"),
+    (["probe", "probe=sharpness", "d=8", "m=40", "samples=5", "out={tmp}/missing/p.json"],
+     "missing/p.json"),
+    (["image", "input={tmp}/in.pgm", "output={tmp}/missing/o.pgm", "k=3"], "missing/o.pgm"),
+    # The summary's destination is checked too, so no picture is left without it.
+    (["image", "input={tmp}/in.pgm", "output={tmp}/o.pgm", "out={tmp}/missing/s.json", "k=3"],
+     "missing/s.json"),
+], ids=["solve", "landscape", "certify-harvest", "certify-files", "probe", "image-output",
+        "image-out"])
+def test_an_unwritable_destination_fails_first_and_is_named(tmp_path, capsys, monkeypatch,
+                                                            args, bad):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work began before the destination was checked")
+
+    (tmp_path / "file").write_text("")
+    netpbm.write_image(tmp_path / "in.pgm", np.zeros((4, 4), np.uint8))
+    before = sorted(tmp_path.iterdir())
+    for module, name in ((harness, "gaussian_ensemble"), (harness, "hadamard_ensemble"),
+                         (netpbm, "read_image"), (harness.landscape, "population_grid")):
+        monkeypatch.setattr(module, name, no_work)
+    assert main([arg.format(tmp=tmp_path) for arg in args] + ["quiet=true"]) == 2
+    assert f"{tmp_path}/{bad}" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_image_keeps_a_low_maxval(tmp_path):
+    # A maxval-100 picture comes back with its header and its exact samples,
+    # not rescaled to 255 or clamped at 255.
+    img = np.linspace(0, 100, 64).astype(np.uint8).reshape(8, 8)
+    src, out = tmp_path / "in.pgm", tmp_path / "out.pgm"
+    src.write_bytes(b"P5\n8 8\n100\n" + img.tobytes())
+    assert main(["image", f"input={src}", f"output={out}", "k=3", "seed=2", "quiet=true"]) == 0
+    assert out.read_bytes() == src.read_bytes()
+    assert json.loads((tmp_path / "out.pgm.json").read_text())["exact_pixel_fraction"] == 1.0
+
+
 def test_malformed_image_is_io_error(tmp_path):
     bad = tmp_path / "bad.pgm"
     bad.write_bytes(b"P5\n4 4\n255\n\x00")
@@ -159,7 +200,7 @@ def test_image_command_end_to_end(tmp_path):
     code = main(["image", f"input={src}", f"output={out}", "k=3", "seed=2",
                  "quiet=true"])
     assert code == 0
-    np.testing.assert_array_equal(netpbm.read_image(out), img)
+    np.testing.assert_array_equal(netpbm.read_image(out)[0], img)
 
 
 def test_non_finite_solve_is_numerical_failure(tmp_path, capsys):

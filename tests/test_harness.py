@@ -1,6 +1,9 @@
 import dataclasses
+import importlib
 import json
 import math
+import os
+import stat
 import tracemalloc
 
 import numpy as np
@@ -29,8 +32,7 @@ def test_pgm_round_trip_is_byte_identical(tmp_path):
     path = tmp_path / "img.pgm"
     netpbm.write_image(path, gradient_image())
     first = path.read_bytes()
-    again = netpbm.read_image(path)
-    netpbm.write_image(path, again)
+    netpbm.write_image(path, *netpbm.read_image(path))
     assert path.read_bytes() == first
 
 
@@ -38,15 +40,15 @@ def test_ppm_round_trip(tmp_path):
     rgb = np.random.default_rng(0).integers(0, 256, size=(7, 5, 3)).astype(np.uint8)
     path = tmp_path / "img.ppm"
     netpbm.write_image(path, rgb)
-    np.testing.assert_array_equal(netpbm.read_image(path), rgb)
+    np.testing.assert_array_equal(netpbm.read_image(path)[0], rgb)
 
 
 def test_read_accepts_comments_and_whitespace(tmp_path):
     path = tmp_path / "c.pgm"
     raster = bytes(range(6))
     path.write_bytes(b"P5 # magic\n# a comment line\n 3\t2 # dims\n255\n" + raster)
-    img = netpbm.read_image(path)
-    assert img.shape == (2, 3)
+    img, maxval = netpbm.read_image(path)
+    assert (img.shape, maxval) == ((2, 3), 255)
     assert img.tobytes() == raster
 
 
@@ -65,6 +67,94 @@ def test_read_rejects_garbage(tmp_path):
     path.write_bytes(b"P5\n4 4\n255\n\x00\x01")
     with pytest.raises(netpbm.ImageFormatError, match="raster"):
         netpbm.read_image(path)
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"P5\n4 4", "truncated netpbm header"),
+    (b"P5\nfour 4\n255\n" + bytes(16), "non-numeric netpbm header field"),
+    (b"P5\n0 4\n255\n", "bad dimensions 0x4"),
+    (b"P6\n3 -1\n255\n", "bad dimensions 3x-1"),
+    (b"P5\n2 2\n0\n" + bytes(4), "bad maxval 0"),
+    (b"P5\n2 1\n100\n" + bytes([200, 50]), "sample 200 exceeds maxval 100"),
+])
+def test_read_refuses_a_malformed_header(tmp_path, content, message):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(content)
+    with pytest.raises(netpbm.ImageFormatError, match=message):
+        netpbm.read_image(path)
+
+
+@pytest.mark.parametrize("pixels, maxval, message", [
+    (np.zeros((2, 2)), 255, "expected uint8 pixels, got float64"),
+    (np.zeros((2, 2, 4), np.uint8), 255, r"unsupported pixel shape \(2, 2, 4\)"),
+    (np.zeros(4, np.uint8), 255, r"unsupported pixel shape \(4,\)"),
+    (np.zeros((2, 2), np.uint8), 0, r"maxval must lie in \[1, 255\], got 0"),
+    (np.zeros((2, 2), np.uint8), 256, r"maxval must lie in \[1, 255\], got 256"),
+])
+def test_write_refuses_bad_pixels_and_maxval(tmp_path, pixels, maxval, message):
+    path = tmp_path / "out.pgm"
+    with pytest.raises(netpbm.ImageFormatError, match=message):
+        netpbm.write_image(path, pixels, maxval)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_maxval_round_trips_through_read_and_write(tmp_path):
+    path = tmp_path / "low.pgm"
+    raster = bytes([0, 37, 100, 64, 1, 99])
+    path.write_bytes(b"P5\n3 2\n100\n" + raster)
+    pixels, maxval = netpbm.read_image(path)
+    assert maxval == 100 and pixels.tobytes() == raster
+    netpbm.write_image(path, pixels, maxval)
+    assert path.read_bytes() == b"P5\n3 2\n100\n" + raster
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["umask022", "umask077"])
+def test_written_files_get_the_mode_a_plain_open_gives(tmp_path, umask):
+    # 0o666 less the umask, not mkstemp's 0o600
+    old = os.umask(umask)
+    try:
+        with open(tmp_path / "plain", "wb"):
+            pass
+        netpbm.write_image(tmp_path / "img.pgm", gradient_image(4, 4))
+        harness.write_json(tmp_path / "s.json", {"a": 1})
+        with netpbm.atomic_writer(tmp_path / "g.csv") as fh:
+            fh.write(b"x\n")
+    finally:
+        os.umask(old)
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+    assert modes == dict.fromkeys(["plain", "img.pgm", "s.json", "g.csv"], 0o666 & ~umask)
+
+
+@pytest.mark.parametrize("where, error", [
+    ("missing/out.pgm", FileNotFoundError),
+    ("sub", IsADirectoryError),
+])
+def test_a_bad_destination_is_refused_by_its_requested_path(tmp_path, where, error):
+    (tmp_path / "sub").mkdir()
+    path = str(tmp_path / where)
+    with pytest.raises(error) as refused:
+        netpbm.check_destination(path)
+    assert refused.value.filename == path
+    # The writer names the requested path too, not its temp file.
+    with pytest.raises(OSError) as failed:
+        netpbm.atomic_write_bytes(path, b"x")
+    assert failed.value.filename == path or failed.value.filename2 == path
+
+
+def test_a_directory_without_write_access_is_refused_by_the_requested_path(tmp_path,
+                                                                            monkeypatch):
+    # os.access stands in for the permission bits, which do not bind root.
+    monkeypatch.setattr(netpbm.os, "access", lambda *args: False)
+    path = str(tmp_path / "out.pgm")
+    with pytest.raises(PermissionError) as refused:
+        netpbm.check_destination(path)
+    assert refused.value.filename == path
+
+
+def test_check_destination_accepts_a_new_or_existing_file(tmp_path):
+    netpbm.check_destination(str(tmp_path / "new.pgm"))
+    (tmp_path / "old.pgm").write_bytes(b"")
+    netpbm.check_destination(str(tmp_path / "old.pgm"))
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +307,26 @@ def test_run_solve_experiment_outputs(tmp_path):
         k, f, rel, gn, step = line.split(",")
         if float(gn) > 0:
             assert float(step) == pytest.approx(float(f) / float(gn), rel=1e-12)
+
+
+@pytest.mark.parametrize("value, text", [
+    (None, "nan"),  # rel_dist of a problem without a truth
+    (0.1, "0.1"),
+    (np.float64(1e-10), "1e-10"),
+    (math.inf, "inf"),
+])
+def test_fmt_writes_a_round_tripping_float_or_nan(value, text):
+    assert harness._fmt(value) == text
+
+
+def test_a_trace_without_a_truth_writes_nan_distances(tmp_path):
+    seeded = harness._problem_builder(harness.build_config("solve", {"d": "6", "m": "30"}))(0)
+    problem = rp.PhaseProblem(ensemble=seeded.ensemble, b=seeded.b)
+    trace = rp.run(problem, rp.spectral_init(problem, 0).x0, rp.SolverConfig(max_iters=3))
+    harness.write_trace_csv(tmp_path / "t.csv", trace)
+    rows = [line.split(",") for line in (tmp_path / "t.csv").read_text().split()[1:]]
+    assert [row[0] for row in rows] == ["0", "1", "2"]
+    assert all(row[2] == "nan" and row[1] != "nan" for row in rows)
 
 
 def test_run_solve_experiment_is_deterministic(tmp_path):
@@ -510,7 +620,7 @@ def test_image_pipeline_recovers_gradient_image(tmp_path):
     summary = run_image(src, out, k=3, seed=7)
     assert summary["rel_dist"] <= 1e-5
     assert summary["exact_pixel_fraction"] >= 0.99
-    recovered = netpbm.read_image(out)
+    recovered, _ = netpbm.read_image(out)
     assert recovered.shape == (16, 16)
     assert json.loads((tmp_path / "out.pgm.json").read_text())["k"] == 3
 
@@ -535,7 +645,7 @@ def test_image_pipeline_all_black_image(tmp_path, capsys):
     assert summary["rel_dist"] is None
     assert json.loads((tmp_path / "rec.pgm.json").read_text())["rel_dist"] is None
     assert " rel_dist=None exact=1.0000" in capsys.readouterr().out
-    np.testing.assert_array_equal(netpbm.read_image(out), np.zeros((8, 8), np.uint8))
+    np.testing.assert_array_equal(netpbm.read_image(out)[0], np.zeros((8, 8), np.uint8))
 
 
 def test_capped_image_run_reports_the_relative_distance_of_its_last_iterate(tmp_path):
@@ -574,7 +684,7 @@ def test_image_pipeline_flips_a_solve_that_ends_at_minus_the_signal(tmp_path, mo
     summary = run_image(src, out, k=3, seed=1)
     assert len(alignments) == 1 and alignments[0] < 0.0
     assert summary["exact_pixel_fraction"] == 1.0
-    np.testing.assert_array_equal(netpbm.read_image(out), img)
+    np.testing.assert_array_equal(netpbm.read_image(out)[0], img)
 
 
 def test_image_pipeline_pads_non_power_of_two(tmp_path):
@@ -584,7 +694,7 @@ def test_image_pipeline_pads_non_power_of_two(tmp_path):
     out = tmp_path / "rec.pgm"
     summary = run_image(src, out, k=3, seed=1)
     assert summary["pad_len"] == 128
-    np.testing.assert_array_equal(netpbm.read_image(out), img)
+    np.testing.assert_array_equal(netpbm.read_image(out)[0], img)
 
 
 def test_image_pipeline_takes_solver_settings(tmp_path):
@@ -869,3 +979,14 @@ def test_run_probe_unknown_kind():
     cfg.probe = "mystery"
     with pytest.raises(harness.ConfigError):
         harness.run_probe(cfg)
+
+
+def test_the_stream_tags_of_every_module_are_distinct():
+    # A tag used twice would draw two purposes from one stream, correlating them.
+    modules = [importlib.import_module(f"robustpr.{name}")
+               for name in ("measure", "objective", "spectral", "landscape", "harness")]
+    tags = [(f"{mod.__name__}.{name}", value)
+            for mod in modules for name, value in vars(mod).items() if name.startswith("_TAG_")]
+    assert len(tags) == 11
+    values = [value for _, value in tags]
+    assert len(set(values)) == len(values), tags
